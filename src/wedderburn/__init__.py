@@ -10,7 +10,7 @@ against the table-based `oracle` module.
 
 from .battery import battery_instances, check_instance, run_battery
 from .cyclotomic import classify
-from .decompose import decompose, decompose_nonsplit, decompose_split
+from .decompose import decompose
 from .fields import ext_field, make_field, split_prime_power
 from .groups import NONSPLIT, SPLIT, make_group, parse_group
 from .idempotents import (central_idempotents, complete_idempotent_set,
@@ -29,8 +29,6 @@ __all__ = [
     "complete_idempotent_set",
     "cyclic_idempotent",
     "decompose",
-    "decompose_nonsplit",
-    "decompose_split",
     "ext_field",
     "make_field",
     "make_group",

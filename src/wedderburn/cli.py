@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import battery, oracle
 from .cyclotomic import classify
 from .decompose import decompose
-from .fields import split_prime_power
+from .fields import make_field, split_prime_power
 from .groups import NONSPLIT, SPLIT, make_group, parse_group
 from .idempotents import complete_idempotent_set
 
@@ -145,8 +145,7 @@ def _group_header(g, report):
 
 def run_factor(config):
     g = make_group(config.kind, config.n, config.s, config.q)
-    A = oracle.algebra_for(g)
-    report = classify(A.field, g.N, g.s)
+    report = classify(make_field(config.p, config.m), g.N, g.s)
     if config.fmt == "json":
         _emit_json(report.to_json())
         return EXIT_OK

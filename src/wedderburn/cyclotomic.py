@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .fields import _prime_factors, ext_field, ord_mod, padic_valuation, \
-    split_prime_power
-from .polys import Poly, first_irreducible, poly_order, s_involution, \
-    x_power_minus_one
+from .fields import _prime_factors, ext_field, first_irreducible, ord_mod, \
+    padic_valuation, split_prime_power
+from .polys import Poly, poly_order, s_involution, x_power_minus_one
 
 
 class NotCoprimeNQ(ValueError):
@@ -67,7 +66,7 @@ def splitting_field(field, N):
         return field, 1
     # interned constructor: repeated calls hand back the identical field
     # object, so roots extracted in different calls compare equal
-    return ext_field(field, first_irreducible(field, m).coeffs), m
+    return ext_field(field, first_irreducible(field, m)), m
 
 
 def root_of_unity(E, N):
@@ -171,13 +170,6 @@ class FactorizationReport:
     factors: tuple
     r: int
     t: int
-
-    def factor_for(self, g):
-        """The entry whose poly equals g."""
-        for fac in self.factors:
-            if fac.poly == g:
-                return fac
-        raise KeyError(f"{g!r} is not one of the factors")
 
     def to_json(self):
         out = {

@@ -29,7 +29,7 @@ from typing import Optional
 from .cyclotomic import classify
 from .fields import (NoSquareRoot, ext_field, make_field, mul_order,
                      padic_valuation, split_prime_power, sqrt_in_field)
-from .groups import NONSPLIT, SPLIT
+from .groups import SPLIT
 
 ABELIAN_PART = "abelian"
 SELF_INVOLUTIVE = "self-involutive"
@@ -122,11 +122,6 @@ def mat_pow(A, e):
 
 def mat_identity(field, n):
     return tuple(tuple(field.one if i == j else field.zero for j in range(n))
-                 for i in range(n))
-
-
-def mat_scalar(field, n, c):
-    return tuple(tuple(c if i == j else field.zero for j in range(n))
                  for i in range(n))
 
 
@@ -331,7 +326,12 @@ def _self_involutive_nonsplit(g, pos, fac, F):
 # ---------------------------------------------------------------------------
 
 
-def _decompose(g, per_abelian, per_self_involutive):
+def decompose(g):
+    """The simple components of F_qG; the per-factor constructions follow g.kind."""
+    if g.kind == SPLIT:
+        per_abelian, per_self_involutive = _abelian_split, _self_involutive_split_style
+    else:
+        per_abelian, per_self_involutive = _abelian_nonsplit, _self_involutive_nonsplit
     p, a = split_prime_power(g.q)
     F = make_field(p, a)
     report = classify(F, g.N, g.s)
@@ -347,17 +347,3 @@ def _decompose(g, per_abelian, per_self_involutive):
     assert dec.dimension_sum == g.order, \
         f"internal: dimension audit {dec.dimension_sum} != {g.order}"
     return dec
-
-
-def decompose_split(g):
-    assert g.kind == SPLIT
-    return _decompose(g, _abelian_split, _self_involutive_split_style)
-
-
-def decompose_nonsplit(g):
-    assert g.kind == NONSPLIT
-    return _decompose(g, _abelian_nonsplit, _self_involutive_nonsplit)
-
-
-def decompose(g):
-    return decompose_split(g) if g.kind == SPLIT else decompose_nonsplit(g)

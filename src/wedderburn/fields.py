@@ -5,8 +5,10 @@ F_{p^m} is the first irreducible in a fixed enumeration, square roots are
 canonicalized, and no randomness is used anywhere.
 """
 
+import itertools
 import threading
 from functools import lru_cache
+from math import isqrt
 
 # Field objects are interned (same parameters, same object) because element
 # equality checks field identity.  Interning through an lru_cache alone is
@@ -59,17 +61,12 @@ def split_prime_power(q):
     """Write q as p^m with p prime, or raise NonPrimeCharacteristic."""
     if q < 2:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            if r != 1:
-                raise NonPrimeCharacteristic(f"{q} is not a prime power")
-            return p, m
-    raise NonPrimeCharacteristic(f"{q} is not a prime power")
+    # the least divisor d > 1 of q is prime, and d <= sqrt(q) unless q is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    m = padic_valuation(q, p)
+    if p ** m != q:
+        raise NonPrimeCharacteristic(f"{q} is not a prime power")
+    return p, m
 
 
 def padic_valuation(c, p):
@@ -319,7 +316,6 @@ class ExtField:
 
     def elements(self):
         """All elements, ascending in key() order.  Only call on small fields."""
-        import itertools
         base_elts = list(self.base.elements())
         for combo in itertools.product(base_elts, repeat=self.deg):
             yield FieldElt(self, combo)
@@ -329,86 +325,112 @@ class ExtField:
 
 
 # ---------------------------------------------------------------------------
-# modulus search for make_field: dense poly helpers over F_p as int lists
+# the modulus search: dense polynomials over a field F as lists of F's reps,
+# low coefficient first, with F's own _add/_mul/_neg/_eq doing the arithmetic
 
 
-def _pmulmod(a, b, f, p):
+def _pmulmod(a, b, f, F):
+    """a * b mod the monic f of degree n >= 2; a and b have length n."""
+    add, mul, eq, zero = F._add, F._mul, F._eq, F.zero.rep
     n = len(f) - 1
-    prod = [0] * (2 * n - 1)
+    prod = [zero] * (2 * n - 1)
     for i, x in enumerate(a):
-        if x:
+        if not eq(x, zero):
             for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
+                prod[i + j] = add(prod[i + j], mul(x, y))
+    tail = [F._neg(c) for c in f[:n]]  # x^n = -(f - x^n) mod f
     for k in range(len(prod) - 1, n - 1, -1):
         c = prod[k]
-        if c:
+        if not eq(c, zero):
             for i in range(n):
-                prod[k - n + i] = (prod[k - n + i] - c * f[i]) % p
+                prod[k - n + i] = add(prod[k - n + i], mul(c, tail[i]))
     return prod[:n]
 
 
-def _ppowmod(a, e, f, p):
-    r = [1] + [0] * (len(f) - 2)
+def _ppowmod(a, e, f, F):
+    r = [F.one.rep] + [F.zero.rep] * (len(f) - 2)
     while e:
         if e & 1:
-            r = _pmulmod(r, a, f, p)
-        a = _pmulmod(a, a, f, p)
+            r = _pmulmod(r, a, f, F)
+        a = _pmulmod(a, a, f, F)
         e >>= 1
     return r
 
 
-def _ptrim(a):
+def _pis_zero(a, F):
+    return len(a) == 1 and F._eq(a[0], F.zero.rep)
+
+
+def _ptrim(a, F):
     a = list(a)
-    while len(a) > 1 and a[-1] == 0:
+    while len(a) > 1 and F._eq(a[-1], F.zero.rep):
         a.pop()
     return a
 
 
-def _pmod(a, b, p):
-    a = _ptrim(a)
-    b = _ptrim(b)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a != [0]:
+def _pmod(a, b, F):
+    a = _ptrim(a, F)
+    b = _ptrim(b, F)
+    inv = FieldElt(F, b[-1]).inverse().rep
+    while len(a) >= len(b) and not _pis_zero(a, F):
         shift = len(a) - len(b)
-        c = a[-1] * inv % p
+        c = F._neg(F._mul(a[-1], inv))
         for i, x in enumerate(b):
-            a[i + shift] = (a[i + shift] - c * x) % p
-        a = _ptrim(a)
+            a[i + shift] = F._add(a[i + shift], F._mul(c, x))
+        a = _ptrim(a, F)
     return a
 
 
-def _pgcd(a, b, p):
-    a = _ptrim(a)
-    b = _ptrim(b)
-    while b != [0]:
-        a, b = b, _pmod(a, b, p)
+def _pgcd(a, b, F):
+    a = _ptrim(a, F)
+    b = _ptrim(b, F)
+    while not _pis_zero(b, F):
+        a, b = b, _pmod(a, b, F)
     return a
 
 
-def _is_irreducible_fp(f, p):
-    # Rabin's test; f monic over F_p as int list, deg >= 1
+def is_irreducible_over(F, f):
+    """Rabin's irreducibility test for the monic f over the field F.
+
+    f is a list of F's element reps, low coefficient first, of degree >= 1.
+    """
     m = len(f) - 1
     if m == 1:
         return True
-    x = [0, 1] + [0] * (m - 2)
-    if _ppowmod(x, p ** m, f, p) != x:
+    x = [F.zero.rep, F.one.rep] + [F.zero.rep] * (m - 2)
+    if not all(map(F._eq, _ppowmod(x, F.order ** m, f, F), x)):
         return False
-    for r in {d for d in range(2, m + 1) if m % d == 0 and is_prime(d)}:
-        h = _ppowmod(x, p ** (m // r), f, p)
-        diff = [(h[i] - x[i]) % p for i in range(m)]
-        g = _pgcd(diff, f, p)
-        if len(g) != 1:
+    for r in _prime_factors(m):
+        h = _ppowmod(x, F.order ** (m // r), f, F)
+        diff = [F._add(c, F._neg(xc)) for c, xc in zip(h, x)]
+        if len(_pgcd(diff, f, F)) != 1:
             return False
     return True
+
+
+def first_irreducible(F, m):
+    """The first monic irreducible polynomial of degree m >= 1 over F.
+
+    Returned as a tuple of F's elements, low coefficient first.  The
+    coefficient vectors (c_{m-1}, ..., c_0) are enumerated as ascending
+    base-|F| numbers whose digits follow F's element order: the residues
+    0..p-1 over a prime field, elements() over an extension.
+    """
+    digits = (range(F.char) if isinstance(F, PrimeField)
+              else [z.rep for z in F.elements()])
+    for top_down in itertools.product(digits, repeat=m):
+        coeffs = list(top_down[::-1]) + [F.one.rep]
+        if is_irreducible_over(F, coeffs):
+            return tuple(FieldElt(F, c) for c in coeffs)
+    raise AssertionError("no irreducible polynomial found, impossible")
 
 
 def make_field(p, m):
     """The field F_{p^m}.
 
-    For m >= 2 the modulus is the first irreducible monic polynomial of
-    degree m over F_p, enumerating coefficient vectors (c_{m-1}, ..., c_0)
-    as ascending base-p numbers.  That puts x^2+1 first for F_9 and
-    x^3+x+1 first for F_8.  Cached, so field objects are canonical.
+    For m >= 2 the modulus is first_irreducible(F_p, m).  That puts x^2+1
+    first for F_9 and x^3+x+1 first for F_8.  Cached, so field objects are
+    canonical.
     """
     with _intern_lock:
         return _make_field(p, m)
@@ -423,20 +445,9 @@ def _make_field(p, m):
     if m == 1:
         return PrimeField(p)
     base = make_field(p, 1)  # the cached copy, so element fields compare by identity
-    for k in range(p ** m):
-        # base-p digits of k, most significant first, are (c_{m-1}, ..., c_0);
-        # so the lsb-first digit list is (c_0, ..., c_{m-1}) directly
-        digits = []
-        kk = k
-        for _ in range(m):
-            digits.append(kk % p)
-            kk //= p
-        coeffs = digits + [1]
-        if _is_irreducible_fp(coeffs, p):
-            # route through the interning cache so make_field(p, m) and
-            # ext_field(base, same modulus) are the same object
-            return ext_field(base, tuple([base.elt(c) for c in coeffs]))
-    raise AssertionError("no irreducible polynomial found, impossible")
+    # route through the interning cache so make_field(p, m) and
+    # ext_field(base, same modulus) are the same object
+    return ext_field(base, first_irreducible(base, m))
 
 
 def ext_field(base, modulus):
@@ -493,28 +504,19 @@ def is_in_subfield(a, k):
     return a ** (b ** k) == a
 
 
-_EXHAUSTIVE_SQRT_BOUND = 4096
-
-
 def sqrt_in_field(a):
     """A canonical square root of a, or raise NoSquareRoot.
 
     The returned root is always the lexicographically smaller of the two
-    (by key() order), which is exactly what an exhaustive ascending scan
-    would find first.  Small fields actually do the scan; odd-order fields
-    beyond the bound go through Tonelli-Shanks and are then canonicalized,
-    so the answer is identical either way.
+    (by key() order), which is exactly what an ascending scan of the
+    field's elements would find first.  Odd orders go through
+    Tonelli-Shanks and are then canonicalized.
     """
     F = a.field
     if a.is_zero():
         return F.zero
     if F.char == 2:
         return a ** (F.order // 2)
-    if F.order <= _EXHAUSTIVE_SQRT_BOUND:
-        for z in F.elements():
-            if z * z == a:
-                return z
-        raise NoSquareRoot(f"{a!r} is not a square")
     if a ** ((F.order - 1) // 2) != F.one:
         raise NoSquareRoot(f"{a!r} is not a square")
     r = _tonelli(a)

@@ -7,15 +7,14 @@ field size q:
   nonsplit:  < x, y | x^(2n) = 1,  y^2 = x^n,  xy = yx^s >
 
 with s an involution exponent mod N (N = n resp. 2n).  Everything the
-decomposition needs later (N, d = gcd(N, s-1), |G|, the adjusted copy of
-s for the square-root construction) is derived once, up front, and the
-value is immutable afterwards.
+decomposition needs later (N, d = gcd(N, s-1), |G|) is derived once, up
+front, and the value is immutable afterwards.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
-from .fields import padic_valuation, split_prime_power
+from .fields import split_prime_power
 
 SPLIT = "split"
 NONSPLIT = "nonsplit"
@@ -42,7 +41,6 @@ class GroupPresentation:
     N: int
     d: int
     order: int
-    s_adjusted: int
 
     @property
     def is_abelian(self):
@@ -56,11 +54,7 @@ class GroupPresentation:
 def make_group(kind, n, s, q):
     """Validate (kind, n, s, q) and return the normalized GroupPresentation.
 
-    s is reduced mod N.  In the nonsplit q = 3 mod 4 branch with
-    v2(n) <= v2(q+1), the stored s_adjusted is bumped by N once if needed
-    so that v2(s_adjusted + 1) <= v2(q+1) + 1; the square-root-based
-    matrix construction depends on that bound and reads s_adjusted, while
-    everything else reads the residue s.
+    s is reduced mod N.
     """
     if kind not in (SPLIT, NONSPLIT):
         raise ValueError(f"kind must be {SPLIT!r} or {NONSPLIT!r}, got {kind!r}")
@@ -78,14 +72,8 @@ def make_group(kind, n, s, q):
         s = s % N
         if gcd(s, N) != 1 or (s * s) % N != 1:
             raise SNotInvolutive(f"s = {s} does not satisfy s^2 = 1 mod {N}")
-    s_adjusted = s
-    if (kind == NONSPLIT and q % 4 == 3
-            and padic_valuation(n, 2) <= padic_valuation(q + 1, 2)
-            and padic_valuation(s + 1, 2) > padic_valuation(q + 1, 2) + 1):
-        s_adjusted = s + N
     d = gcd(N, s - 1) if N > 1 else 1
-    return GroupPresentation(kind=kind, n=n, s=s, q=q, N=N, d=d,
-                             order=2 * N, s_adjusted=s_adjusted)
+    return GroupPresentation(kind=kind, n=n, s=s, q=q, N=N, d=d, order=2 * N)
 
 
 def group_elements(g):

@@ -169,19 +169,8 @@ def _central_entries(g, decomposition):
     return entries
 
 
-def central_idempotents_split(g, decomposition):
-    assert g.kind == SPLIT
-    return IdempotentSet(g, tuple(_central_entries(g, decomposition)))
-
-
-def central_idempotents_nonsplit(g, decomposition):
-    assert g.kind == NONSPLIT
-    return IdempotentSet(g, tuple(_central_entries(g, decomposition)))
-
-
 def central_idempotents(g, decomposition):
-    return (central_idempotents_split if g.kind == SPLIT
-            else central_idempotents_nonsplit)(g, decomposition)
+    return IdempotentSet(g, tuple(_central_entries(g, decomposition)))
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,6 @@ class AlgebraElement:
                 out = out * self
         return out
 
-    def scaled(self, c):
-        """Multiply by a field scalar (or int over a prime base)."""
-        A = self.algebra
-        if isinstance(c, int):
-            c = A.field.elt(c)
-        cv = np.array(c.key(), dtype=np.int64)
-        prod = np.einsum("im,n,mnk->ik", self.coeffs, cv, A.tensor)
-        return AlgebraElement(A, prod)
-
     def is_zero(self):
         return not self.coeffs.any()
 
@@ -417,7 +408,6 @@ def interpolate_idempotent(algebra, targets, report=None):
     prescribed image there; positions absent from the map get the zero
     prescription.  Forms accepted, with K = F_q[x]/(f) the factor field:
 
-      ("py", a, b)        raw residues: P = a, Q = b mod f (a, b in K)
       ("signs", t, u)     split-kind factor of x^d - 1: images t, u of the
                           two one-dimensional components y -> +1, y -> -1
       ("matrix", M)       self-involutive factor, M a 2x2 tuple over K in
@@ -425,8 +415,6 @@ def interpolate_idempotent(algebra, targets, report=None):
                           y -> antidiagonal (sign from xi^n); entries
                           (2,1)/(2,2) must be the xi -> xi^s conjugates
                           of (1,2)/(1,1), else InconsistentPrescription
-      ("pair", M)         on the lex-first member of a swapped pair; row 1
-                          of M lives over K, row 2 over the partner's K'
 
     The result is exact; the prescription residues are re-checked on the
     way out.  Constant prescriptions (matrix units, identities) mean the
@@ -452,9 +440,7 @@ def interpolate_idempotent(algebra, targets, report=None):
         fac = report.factors[pos]
         K = ext_field(F, fac.poly.coeffs)
         kind = target[0]
-        if kind == "py":
-            put(pos, _as_ext_elt(K, target[1]), _as_ext_elt(K, target[2]))
-        elif kind == "signs":
+        if kind == "signs":
             if nonsplit or not fac.divides_x_d_minus_1:
                 raise InconsistentPrescription(
                     "signs prescription only fits split-kind factors of x^d - 1")
@@ -483,16 +469,6 @@ def interpolate_idempotent(algebra, targets, report=None):
                 raise InconsistentPrescription(
                     "matrix entries are not Galois-consistent for this factor")
             put(pos, m11, q_val)
-        elif kind == "pair":
-            if fac.self_involutive or fac.partner != pos + 1:
-                raise InconsistentPrescription(
-                    "pair prescription goes on the first factor of a pair")
-            (m11, m12), (m21, m22) = target[1]
-            K2 = ext_field(F, report.factors[fac.partner].poly.coeffs)
-            m11, m12 = _as_ext_elt(K, m11), _as_ext_elt(K, m12)
-            m21, m22 = _as_ext_elt(K2, m21), _as_ext_elt(K2, m22)
-            put(pos, m11, -m12 if g.n % fac.root_order else m12)
-            put(fac.partner, m22, m21)
         else:
             raise ValueError(f"unknown prescription form {kind!r}")
 

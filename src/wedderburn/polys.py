@@ -4,7 +4,7 @@ A Poly keeps a trimmed little-endian coefficient tuple; the zero polynomial
 has an empty tuple and degree -1.  All operations are exact.
 """
 
-from .fields import ExtField, FieldElt, is_prime
+from .fields import ExtField, FieldElt, is_irreducible_over
 
 
 class FieldMismatch(TypeError):
@@ -337,46 +337,6 @@ def s_involution(f, s, n):
 
 def is_irreducible(f):
     """Rabin's irreducibility test over any finite coefficient field."""
-    m = f.degree
-    if m < 1:
+    if f.degree < 1:
         return False
-    if m == 1:
-        return True
-    f = f.monic()
-    q = f.field.order
-    x = Poly.x(f.field)
-    if powmod(x, q ** m, f) != x % f:
-        return False
-    for r in sorted({d for d in range(2, m + 1) if m % d == 0 and is_prime(d)}):
-        h = powmod(x, q ** (m // r), f) - (x % f)
-        if h.is_zero():
-            return False
-        d, _, _ = ext_gcd(h, f)
-        if not d.is_one():
-            return False
-    return True
-
-
-def first_irreducible(field, m):
-    """First monic irreducible of degree m over `field`, by ascending key.
-
-    Coefficient vectors (c_{m-1}, ..., c_0) are enumerated as ascending
-    base-|F| numbers, mirroring the modulus choice convention of
-    fields.make_field.
-    """
-    if m < 1:
-        raise ValueError("degree must be positive")
-    if m == 1:
-        return Poly.x(field)
-    elts = list(field.elements())
-    size = len(elts)
-    for k in range(size ** m):
-        digits = []
-        kk = k
-        for _ in range(m):
-            digits.append(elts[kk % size])
-            kk //= size
-        f = Poly(field, digits + [field.one])
-        if f.degree == m and is_irreducible(f):
-            return f
-    raise AssertionError("no irreducible polynomial found, impossible")
+    return is_irreducible_over(f.field, [c.rep for c in f.monic().coeffs])

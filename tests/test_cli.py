@@ -92,6 +92,12 @@ def test_verify_seed_flag_accepted(capsys):
     assert code == EXIT_OK
 
 
+def test_factor_over_a_large_prime(capsys):
+    code, out, _ = run_cli(capsys, "factor", "--q", "1000000007", "--group", "split:n=2,s=1")
+    assert code == EXIT_OK
+    assert "x^2 - 1 over F_1000000007:" in out
+
+
 def test_even_characteristic_rejected(capsys):
     code, out, err = run_cli(capsys, "decompose", "--q", "4", "--group", "split:n=3,s=2")
     assert code == EXIT_INVALID

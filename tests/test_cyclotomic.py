@@ -82,6 +82,7 @@ def test_factor_rejects_bad_characteristic():
 def test_splitting_field_and_root():
     E, m = splitting_field(F3, 8)
     assert m == 2  # ord of 3 mod 8
+    assert E is make_field(3, 2)  # one modulus search, one interned field
     xi = root_of_unity(E, 8)
     assert mul_order(xi) == 8
     # deterministic: same root again on a rebuilt tower

@@ -8,8 +8,6 @@ from wedderburn.decompose import (
     WedderburnComponent,
     component_matrices_check,
     decompose,
-    decompose_nonsplit,
-    decompose_split,
     theta_frame_scale,
 )
 from wedderburn.cyclotomic import classify
@@ -103,9 +101,16 @@ def test_split_n8_example_dimension():
     assert D.component_count == oracle.component_count(oracle.algebra_for(g))
 
 
-def test_dispatch_matches_kind_specific_entry_points():
-    assert decompose(D8).to_json() == decompose_split(D8).to_json()
-    assert decompose(Q8).to_json() == decompose_nonsplit(Q8).to_json()
+def test_decompose_dispatches_on_kind():
+    # one (n, s, q) under both kinds: only the nonsplit kind reaches the
+    # frames built for y^2 = x^n
+    nonsplit_only = {"quad", "eta-omega", "theta-omega"}
+    for n, s, q in ((1, 1, 3), (4, 3, 3), (5, 9, 3)):
+        frames = {kind: {c.source.frame
+                         for c in decompose(make_group(kind, n, s, q)).components}
+                  for kind in (SPLIT, NONSPLIT)}
+        assert not frames[SPLIT] & nonsplit_only
+        assert frames[NONSPLIT] & nonsplit_only
 
 
 def test_matrices_check_battery_lite():

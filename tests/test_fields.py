@@ -12,6 +12,7 @@ from wedderburn.fields import (
     ZeroElement,
     ZeroInput,
     ext_field,
+    first_irreducible,
     is_in_subfield,
     make_field,
     mul_order,
@@ -151,21 +152,21 @@ def test_square_counts():
 
 def test_sqrt_canonical_choice():
     # of the two roots the one with the lexicographically smaller
-    # coefficient string is returned
-    F = make_field(3, 2)
-    for a in F.elements():
-        if a == F.zero:
-            continue
-        try:
-            r = sqrt_in_field(a)
-        except NoSquareRoot:
-            continue
-        assert r == min(r, -r, key=lambda z: z.key())
+    # coefficient string is returned: the first an ascending scan meets
+    F9 = make_field(3, 2)
+    tower = ext_field(F9, first_irreducible(F9, 2))
+    for F in (make_field(7, 1), F9, make_field(5, 2), tower):
+        for a in F.elements():
+            scan = next((z for z in F.elements() if z * z == a), None)
+            if scan is None:
+                with pytest.raises(NoSquareRoot):
+                    sqrt_in_field(a)
+            else:
+                assert sqrt_in_field(a) == scan
 
 
 def test_sqrt_large_field_path():
-    # GF(3^8) has 6561 elements, past the exhaustive-scan bound, so this
-    # exercises the Tonelli-Shanks branch
+    # GF(3^8) has 6561 elements, too many to scan for each root
     F = make_field(3, 8)
     rng = random.Random(6561)
     elems = list(F.elements())
@@ -189,6 +190,8 @@ def test_split_prime_power():
     assert split_prime_power(4) == (2, 2)
     assert split_prime_power(13) == (13, 1)
     assert split_prime_power(343) == (7, 3)
+    assert split_prime_power(1000000007) == (1000000007, 1)
+    assert split_prime_power(3 ** 19) == (3, 19)
     with pytest.raises(NonPrimeCharacteristic):
         split_prime_power(12)
     with pytest.raises(NonPrimeCharacteristic):

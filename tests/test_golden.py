@@ -1,0 +1,277 @@
+"""Byte-level lock on the JSON the CLI prints, over a fixed corpus.
+
+Each digest is the SHA-256 of the full stdout of one `wedderburn ... --format
+json` call.  The instances reach every frame tag (psi+/psi-, quad, tau-pair,
+omega-pair, sigma-tau, eta-omega, theta-omega), both q mod 4 classes, three
+towers over F_9, and two factor lattices of splitting degree 16.  The battery
+digest covers `wedderburn battery --format json`, rebuilt from the shared
+`battery_result` fixture exactly as `cli._emit_json` prints it.
+
+A change that alters any of these bytes must say so and record new digests.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from wedderburn import cli
+
+INSTANCES = (
+    (3, "split:n=1,s=1"),
+    (3, "split:n=4,s=3"),
+    (3, "split:n=8,s=7"),
+    (3, "nonsplit:n=1,s=1"),
+    (3, "nonsplit:n=2,s=3"),
+    (3, "nonsplit:n=4,s=3"),
+    (3, "nonsplit:n=4,s=5"),
+    (3, "nonsplit:n=5,s=9"),
+    (3, "nonsplit:n=8,s=7"),
+    (5, "split:n=4,s=3"),
+    (5, "nonsplit:n=2,s=3"),
+    (5, "nonsplit:n=3,s=5"),
+    (5, "nonsplit:n=4,s=5"),
+    (7, "split:n=4,s=3"),
+    (7, "split:n=6,s=5"),
+    (7, "nonsplit:n=3,s=5"),
+    (7, "nonsplit:n=4,s=7"),
+    (7, "nonsplit:n=6,s=11"),
+    (7, "nonsplit:n=12,s=23"),
+    (9, "split:n=7,s=6"),
+    (9, "split:n=10,s=9"),
+    (9, "nonsplit:n=4,s=3"),
+    (9, "nonsplit:n=5,s=9"),
+    (11, "split:n=5,s=4"),
+    (11, "nonsplit:n=3,s=5"),
+    (11, "nonsplit:n=6,s=7"),
+    (11, "nonsplit:n=8,s=15"),
+    (13, "split:n=3,s=2"),
+    (13, "nonsplit:n=2,s=3"),
+    (13, "nonsplit:n=3,s=5"),
+)
+
+# factor only: splitting degree ord_N(q) = 16 on both
+DEEP = (
+    (3, "split:n=17,s=16"),
+    (5, "nonsplit:n=17,s=1"),
+)
+
+CASES = tuple(
+    [(cmd, q, grp) for cmd in ("factor", "decompose", "idempotents")
+     for q, grp in INSTANCES]
+    + [("factor", q, grp) for q, grp in DEEP])
+
+
+def argv_for(case):
+    cmd, q, grp = case
+    argv = [cmd, "--q", str(q), "--group", grp, "--format", "json"]
+    if cmd == "idempotents":
+        argv += ["--include-noncentral", "--crt-fallback"]
+    return argv
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+DIGESTS = {
+    ('factor', 3, 'split:n=1,s=1'):
+        "521ac93114f372c9f192ef59bb0f8f91fe80f669b70976449ed3de78d257d5c4",
+    ('factor', 3, 'split:n=4,s=3'):
+        "a99eb525457fd82af4a09400f440636f526621d4c7da6dc0f8b1b6adbdab9847",
+    ('factor', 3, 'split:n=8,s=7'):
+        "d1f58e34079c4e9d39b9b29ecad880a2d951e18583ec703081391c7807b240bb",
+    ('factor', 3, 'nonsplit:n=1,s=1'):
+        "11299ae23b8949da4bbaeefbbd315414f7e2ad151d41276fd49c2bf6161f425c",
+    ('factor', 3, 'nonsplit:n=2,s=3'):
+        "a99eb525457fd82af4a09400f440636f526621d4c7da6dc0f8b1b6adbdab9847",
+    ('factor', 3, 'nonsplit:n=4,s=3'):
+        "b322ebf9c22a32d7c9aab4e8ce787b9ca7fec82a87c3c2f3f8fd0c86b8ec342f",
+    ('factor', 3, 'nonsplit:n=4,s=5'):
+        "e236908d280b5defd365f73fcdad573bb01b7180c6c41f31a59db2065267ccff",
+    ('factor', 3, 'nonsplit:n=5,s=9'):
+        "06f530846338ba3219cfd375d798e2e5407a3de3532a17bb4b9dbea02493edeb",
+    ('factor', 3, 'nonsplit:n=8,s=7'):
+        "83ee260d8a65bb69fdd9d0730acd0aeb62ddd0d93aaa035452f5bb3ed93d80e2",
+    ('factor', 5, 'split:n=4,s=3'):
+        "8adf523925aa01f0ec588aba54a04667c2733783a5a33d8614a186345f9ca6cb",
+    ('factor', 5, 'nonsplit:n=2,s=3'):
+        "8adf523925aa01f0ec588aba54a04667c2733783a5a33d8614a186345f9ca6cb",
+    ('factor', 5, 'nonsplit:n=3,s=5'):
+        "457c2c38e1ed536a60e680bceffdc7e701bf6dd0b55a64ae4666a84ee4b363fa",
+    ('factor', 5, 'nonsplit:n=4,s=5'):
+        "62c6bf746fc5e9bb90c26eec973e18d2de1dd70975b88a02fa48c4df67f6b66d",
+    ('factor', 7, 'split:n=4,s=3'):
+        "4efe06737be630643f9192c462ad85978f17e9924cbc234b226dd361af97a6f3",
+    ('factor', 7, 'split:n=6,s=5'):
+        "4a7e324d93f0fb831f2a70af6b9b9463c8f98298ae2ff82fc038aa192013ffff",
+    ('factor', 7, 'nonsplit:n=3,s=5'):
+        "4a7e324d93f0fb831f2a70af6b9b9463c8f98298ae2ff82fc038aa192013ffff",
+    ('factor', 7, 'nonsplit:n=4,s=7'):
+        "707562e907c5efa2637db89932f099cda60a3b65242535201bc8d02ce825dc45",
+    ('factor', 7, 'nonsplit:n=6,s=11'):
+        "e9a905620e8a72b724a1e539892280d3d8ee5698bc88f548f3d1004b46a49c54",
+    ('factor', 7, 'nonsplit:n=12,s=23'):
+        "135dd7dfe66f50b775d19e7e931414e5f236115a260abefc00bf8de2e70a18e9",
+    ('factor', 9, 'split:n=7,s=6'):
+        "7ef60d1d78b1a7bd03daaef492764b0a8925d79e7d778f43569da7338ce98702",
+    ('factor', 9, 'split:n=10,s=9'):
+        "da262025aa20cfa4c4ee2aa8d8c8c392d3de42de57b5b24f73f3549895dbf53a",
+    ('factor', 9, 'nonsplit:n=4,s=3'):
+        "746f74fa399b48f0f903f82e637f33812dacc51fa53a03fe1749ddab37ec6f56",
+    ('factor', 9, 'nonsplit:n=5,s=9'):
+        "da262025aa20cfa4c4ee2aa8d8c8c392d3de42de57b5b24f73f3549895dbf53a",
+    ('factor', 11, 'split:n=5,s=4'):
+        "a935c53b42490bf61d31b8a5627032d0d8dcbdc8553a6ba627337827b007838d",
+    ('factor', 11, 'nonsplit:n=3,s=5'):
+        "338260d64a1426cd917d95cc6ea0ed10b977fad784e3d2446ca93092cb74581d",
+    ('factor', 11, 'nonsplit:n=6,s=7'):
+        "56cc728936dab83b658d54b0a0f5ff4b9e963b4c71c590ddade8cdd1771ee591",
+    ('factor', 11, 'nonsplit:n=8,s=15'):
+        "c9554ea91b5491f992d3e00f9254c3f43fb1ab69c9e7bd7dfd39b7e1d5c16689",
+    ('factor', 13, 'split:n=3,s=2'):
+        "4d7c29d5f1c0e3ed2b4df1a87c1d862a7dd029cb0979c3fcfb96bd1294ce4326",
+    ('factor', 13, 'nonsplit:n=2,s=3'):
+        "40dc4bc46e0813dfe95ad0399bf5c4715c479d4a36170a1baeba3e476b4c6a58",
+    ('factor', 13, 'nonsplit:n=3,s=5'):
+        "ef3564472c6f660985cdec4e0b23c8baa530812dae6d86ff435b7f597de0569a",
+    ('decompose', 3, 'split:n=1,s=1'):
+        "5db75679d9e2388764897cbd0fca07e1fd8ea0d39f0d394d6dc7f75b05aa5348",
+    ('decompose', 3, 'split:n=4,s=3'):
+        "d2ce4722ba7d8c7e705e755c4e50aed5588c68631e0b43b11b66f09a00f60f06",
+    ('decompose', 3, 'split:n=8,s=7'):
+        "cb54f0d51e3d98ef5e201c4b689a77ad73d1748d9edd885e31e94c8c3c84909e",
+    ('decompose', 3, 'nonsplit:n=1,s=1'):
+        "b8437fd5ee65114b1e445b8840bc3e2a6d08cf373010ee1cbbb5884568b5a42f",
+    ('decompose', 3, 'nonsplit:n=2,s=3'):
+        "c7218f0d65ddb2f207c013069793be0a7dc0a87b7a3376859adc09fb601972ae",
+    ('decompose', 3, 'nonsplit:n=4,s=3'):
+        "7788a75367cb7655ce5d23c24bb23a2b204aee566a6ca642fd950a01cdc10bd2",
+    ('decompose', 3, 'nonsplit:n=4,s=5'):
+        "4a584553e20492490ef5f704265c0d6ddf608a06381e602b8d3ab3f2d929c2ed",
+    ('decompose', 3, 'nonsplit:n=5,s=9'):
+        "2ab9e3d9c075202a91646ade0250a23e0fc9c4018e2c14e3e30eec5565dac7f8",
+    ('decompose', 3, 'nonsplit:n=8,s=7'):
+        "d2f081530373bf5afee5a46d9c8de75a3b48a5023e063b9123d7feb1ced33f39",
+    ('decompose', 5, 'split:n=4,s=3'):
+        "1ad6ec98425e1d6fb9c733aa201438c2fb707073ec13bc89d981ebcd07b09a09",
+    ('decompose', 5, 'nonsplit:n=2,s=3'):
+        "5d59a518b94c5254754f2ad1fb1b3a4912e94342680d3c88dab09e2734572064",
+    ('decompose', 5, 'nonsplit:n=3,s=5'):
+        "ac79e1e052641c9f246d7cc971db956ed0c9b2d1243733c42ae8d7572dc25bd7",
+    ('decompose', 5, 'nonsplit:n=4,s=5'):
+        "09fb7382964a4ff6f58abe51f7338331d9c4dafadd2d5d33025a8f9c406e4c30",
+    ('decompose', 7, 'split:n=4,s=3'):
+        "d52b79739bdb306345fd155a4b33b54c8fa3fb74a3c6bce187ad6a75acb2ff49",
+    ('decompose', 7, 'split:n=6,s=5'):
+        "41477d8b80f4eeabeff09a70d5ef09c1af349c44744dca06ab94d14976cacdca",
+    ('decompose', 7, 'nonsplit:n=3,s=5'):
+        "fdcb1d5d3cb40c9ea4a49c4acefefa5076444bb87e8157727d564a34696012b0",
+    ('decompose', 7, 'nonsplit:n=4,s=7'):
+        "5fffb3f979e0b0aa09e19bce02f2dd3304ab55cc64205ab2b3ee3e42117d7c7e",
+    ('decompose', 7, 'nonsplit:n=6,s=11'):
+        "dd02dcbdbc09b3c965811a9f118f384399648465eda2e559b8b7769700052824",
+    ('decompose', 7, 'nonsplit:n=12,s=23'):
+        "50f30519347fc1d111d2330e8e0bcb7b70be6f53c5fb9f0b5f389becc784c522",
+    ('decompose', 9, 'split:n=7,s=6'):
+        "d41219e3268f87ff0d09cf57ad3877125885a080be04881a6aa873f4a9f40c45",
+    ('decompose', 9, 'split:n=10,s=9'):
+        "ad139c1429b8f9dd67d5839aaa5b2a329c980284e1d6ef0e827cb30d1fa50131",
+    ('decompose', 9, 'nonsplit:n=4,s=3'):
+        "7a11daefdf3d05dc8765860964502e87c6d55fcdb1949217a07f4987c3d1fc03",
+    ('decompose', 9, 'nonsplit:n=5,s=9'):
+        "38d2ee915597740bfa7d87cd320a15728b492f8de8e2f2ebf6dba9b5b5f21f45",
+    ('decompose', 11, 'split:n=5,s=4'):
+        "2b489180959f6cc9f3d87f3e1b1e7af792c953e5f62721aa4fc22a910d6ea2c4",
+    ('decompose', 11, 'nonsplit:n=3,s=5'):
+        "127965b00e58d69bee0fcde7e3e955654ac6300f1089d73c7ebdd363e5eb13fc",
+    ('decompose', 11, 'nonsplit:n=6,s=7'):
+        "22f811470865f898156630948f76056836c590364d77c2d5788e86cc402ca0c2",
+    ('decompose', 11, 'nonsplit:n=8,s=15'):
+        "fef935de376f1780df883a54e270ba2c473336546161f199cf2144d2632707e2",
+    ('decompose', 13, 'split:n=3,s=2'):
+        "d57e02b59b03c23867020e248a3ba92e895b4ac7062891a91a526bd8c0998345",
+    ('decompose', 13, 'nonsplit:n=2,s=3'):
+        "36bbd4bff0eea6278fbd3c16f7c1efaf7f272e1634409b95a0191afa24c4043b",
+    ('decompose', 13, 'nonsplit:n=3,s=5'):
+        "053056bf3ae8abb473f360bb19fc40336e87626c72da82d7ca9dbbae97dccbd9",
+    ('idempotents', 3, 'split:n=1,s=1'):
+        "ebb8aea3759529ee1ac1047e4e74c7498c924f5422c9ad23118914546406d67b",
+    ('idempotents', 3, 'split:n=4,s=3'):
+        "82d7ae64e01589dc45e1fb7961009b940be33d95ac0f309fe5c660cc8b41cdf8",
+    ('idempotents', 3, 'split:n=8,s=7'):
+        "13c691e80ec76d62ff9da720cf79c26823ae0dc26c68c5554acd4cb32a6e1fb1",
+    ('idempotents', 3, 'nonsplit:n=1,s=1'):
+        "89b661e9405c0a0e6f0a51d30df380869098ff154a7baa14500080499114d388",
+    ('idempotents', 3, 'nonsplit:n=2,s=3'):
+        "d9761898812da87b63327c42a5cc151f7cc1affca292a6487edcab2052c681e9",
+    ('idempotents', 3, 'nonsplit:n=4,s=3'):
+        "ad15974e927b3b6019c30efe6c2b2a5e02e1f097d82ba003618404929ac1befb",
+    ('idempotents', 3, 'nonsplit:n=4,s=5'):
+        "675904d47b2800e11f81157e3e25fae9f520f0dfb72579bcd2f2d7354eda77ac",
+    ('idempotents', 3, 'nonsplit:n=5,s=9'):
+        "9d86545086d38b0f4ee30581a28075a8e4d56d2152812dfd5d84780296a4d1ab",
+    ('idempotents', 3, 'nonsplit:n=8,s=7'):
+        "68c7fbb2ecf02e497d793abc9b5917f593317d72a2fee8e1178977ea83ff45c9",
+    ('idempotents', 5, 'split:n=4,s=3'):
+        "e1e981f74acf1fd29327ab8bf9ff3826e02bd5a4860e43a09736b1edf3e65740",
+    ('idempotents', 5, 'nonsplit:n=2,s=3'):
+        "f4f844589243f9d07168ad137c9094e4e9d2162c6060449c98ae72ffc6be8735",
+    ('idempotents', 5, 'nonsplit:n=3,s=5'):
+        "7a2916b0d9e631ad0f744376633c6498b6a5c02359661707ec76f20f7fe842a6",
+    ('idempotents', 5, 'nonsplit:n=4,s=5'):
+        "ead0e819716cfd4fe4e32aeec6bf5e78196bae60572de7314a045ae08b519261",
+    ('idempotents', 7, 'split:n=4,s=3'):
+        "069e08a13204848fcf4c75d1ed084fb96ba1a8072cf194efb4bbc27655c2a781",
+    ('idempotents', 7, 'split:n=6,s=5'):
+        "5e96604f5dc3c7902dfd00658271d5940705590366d50a2efc9208fd079b94df",
+    ('idempotents', 7, 'nonsplit:n=3,s=5'):
+        "b02675c10b28b880f0838f17739b5bede20ee4752e3aad403df130c583dd6347",
+    ('idempotents', 7, 'nonsplit:n=4,s=7'):
+        "84ceb724f2f4ca1c275739028f3399b41f5f573a384fcb45136b1dceeaa28892",
+    ('idempotents', 7, 'nonsplit:n=6,s=11'):
+        "9eaba6d79df67cc536bf118067f7d07207b019946c1049d3cadb4089c1a5f9ef",
+    ('idempotents', 7, 'nonsplit:n=12,s=23'):
+        "2bffc784433c8726c9cf4fc758e404fba10fc2af5180918ab416836483595bf1",
+    ('idempotents', 9, 'split:n=7,s=6'):
+        "46140dc99b2cfd324585994098626f3044f0b5a78a61a930e0d29899d43516e7",
+    ('idempotents', 9, 'split:n=10,s=9'):
+        "7f77fe5fc4022b5631f0808c1f0c09513b688734eea48a3ee6a7c369bd5975ad",
+    ('idempotents', 9, 'nonsplit:n=4,s=3'):
+        "c21988d9edf54be488be9629c227c3725a33ff916e97b83419729c3d7846b8fc",
+    ('idempotents', 9, 'nonsplit:n=5,s=9'):
+        "c980fa3bb83b9c3c6efdb380af6b268ffff90abda2f700e18f3ed2c2ce2eab32",
+    ('idempotents', 11, 'split:n=5,s=4'):
+        "c46be7e0c12940ce28bd219229ce2159a8cf8c5ba3c735e2ecac9fdef986a058",
+    ('idempotents', 11, 'nonsplit:n=3,s=5'):
+        "faadd581787644c3dea86ca8d473db9ff75bde5a27b091724fbf29ff003161a2",
+    ('idempotents', 11, 'nonsplit:n=6,s=7'):
+        "b9e316ed38f779b2c8942bb58d7b1835e06d5ba9397e5d3773b44fefdc826ac3",
+    ('idempotents', 11, 'nonsplit:n=8,s=15'):
+        "76af655f72dd218ee19a3c30ca0b5e6b4ef850dce7cc8bd23254b3d8ff540d35",
+    ('idempotents', 13, 'split:n=3,s=2'):
+        "cc58995902d9b48d145c420e6ef725b8599a0c80f98f83e5b85608d97a599224",
+    ('idempotents', 13, 'nonsplit:n=2,s=3'):
+        "c87be6aa8fc334e75cbe2fd91870926700f87e6788b7704a0af93d5fa3c4e7d3",
+    ('idempotents', 13, 'nonsplit:n=3,s=5'):
+        "6a8274025b896ebccc02aa88ccb7e90ed337bb6c4806409f9596cc55de37d406",
+    ('factor', 3, 'split:n=17,s=16'):
+        "2c43e11d64af5fc98c897fa75097dc0a4c2e7aa68e18ad34ca8988dda2e0214d",
+    ('factor', 5, 'nonsplit:n=17,s=1'):
+        "32295edbeb49a859421d91b99b9825f34e5e5a01cb7c0ca0bbb022b07c3d4dbf",
+}
+
+BATTERY_DIGEST = "d898472a72c25dff33d9f7e4d803258a42b7d0eae24dc1447e1f522857fe2cf9"
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-q{c[1]}-{c[2]}")
+def test_cli_json_digest(capsys, case):
+    code = cli.main(argv_for(case))
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert _sha256(out) == DIGESTS[case]
+
+
+def test_battery_json_digest(battery_result):
+    text = json.dumps(battery_result.to_json(), indent=2, sort_keys=True) + "\n"
+    assert _sha256(text) == BATTERY_DIGEST

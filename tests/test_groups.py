@@ -123,25 +123,3 @@ def test_parse_group():
     for bad in ("dihedral:n=4,s=3", "split:n=4", "split:4,3", "split:n=x,s=3"):
         with pytest.raises(ValueError):
             parse_group(bad)
-
-
-def test_s_adjustment_instance():
-    # nonsplit, q = 3 mod 4, v2(n) <= v2(q+1), v2(s+1) too deep: the
-    # stored working exponent moves to the other representative mod 2N
-    g = make_group(NONSPLIT, 20, 31, 3)
-    assert g.s == 31
-    assert g.s_adjusted == 71
-    assert g.s_adjusted % g.N == g.s % g.N
-    assert g.s_adjusted % 4 == g.s % 4
-
-
-def test_s_adjustment_invariants_over_battery(battery_keys):
-    for kind, n, s, q in battery_keys:
-        g = make_group(kind, n, s, q)
-        assert g.s_adjusted % g.N == g.s % g.N
-        if kind == SPLIT:
-            assert g.s_adjusted == g.s
-        if g.s_adjusted != g.s:
-            # every adjustment in the desk range happens at N = 0 mod 4,
-            # so the working exponent keeps its class mod 4 as well
-            assert (g.s_adjusted - g.s) % 4 == 0

@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from wedderburn.fields import make_field, split_prime_power
+from wedderburn.fields import first_irreducible, make_field, split_prime_power
 from wedderburn.polys import (
     BadS,
     BothZero,
@@ -19,7 +19,6 @@ from wedderburn.polys import (
     Poly,
     ZeroConstantTerm,
     ext_gcd,
-    first_irreducible,
     formal_derivative,
     inverse_mod,
     is_irreducible,
@@ -209,9 +208,9 @@ def test_s_involution_errors():
 def test_irreducibility_and_first_irreducible():
     assert is_irreducible(P(1, 0, 1))
     assert not is_irreducible(P(2, 0, 1))
-    f = first_irreducible(F3, 2)
-    assert f.degree == 2 and is_irreducible(f)
-    g = first_irreducible(F3, 5)
+    f = Poly(F3, first_irreducible(F3, 2))
+    assert f == P(1, 0, 1) and is_irreducible(f)
+    g = Poly(F3, first_irreducible(F3, 5))
     assert g.degree == 5 and is_irreducible(g)
 
 
