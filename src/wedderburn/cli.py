@@ -207,14 +207,10 @@ def run_idempotents(config):
 
 
 def run_verify(config):
-    g = make_group(config.kind, config.n, config.s, config.q)
-    if config.seed:
-        # the seed's one job is to steer the randomized associativity
-        # sample, which runs in the constructor
-        oracle.GroupAlgebra(g, oracle.algebra_for(g).field, seed=config.seed)
     rep = battery.check_instance(config.kind, config.n, config.s, config.q,
                                  include_noncentral=config.include_noncentral,
-                                 cross_check=config.cross_check)
+                                 cross_check=config.cross_check,
+                                 seed=config.seed)
     if config.fmt == "json":
         _emit_json(rep.to_json())
     else:

@@ -325,12 +325,30 @@ class ExtField:
 
 
 # ---------------------------------------------------------------------------
-# the modulus search: dense polynomials over a field F as lists of F's reps,
-# low coefficient first, with F's own _add/_mul/_neg/_eq doing the arithmetic
+# the rep kernel: dense polynomials over a field F as lists of F's reps, low
+# coefficient first, with F's own _add/_mul/_neg/_eq doing the arithmetic.
+# The modulus search runs on it, and so does arithmetic in F[t]/(M), whose
+# elements are the residues of length deg(M).
+
+
+def residues(F, m):
+    """Every list of m >= 1 reps of F, ascending as base-|F| numbers.
+
+    The digits follow F's element order (the residues 0..p-1 over F_p),
+    first entry most significant, so as residues of F[t]/(M) the lists come
+    in elements() order.  Lazy, so a large prime field costs nothing up front.
+    """
+    digits = range(F.char) if isinstance(F, PrimeField) else [z.rep for z in F.elements()]
+    for k in range(len(digits) ** m):
+        w = [None] * m
+        for i in range(m - 1, -1, -1):
+            k, d = divmod(k, len(digits))
+            w[i] = digits[d]
+        yield w
 
 
 def _pmulmod(a, b, f, F):
-    """a * b mod the monic f of degree n >= 2; a and b have length n."""
+    """a * b mod the monic f of degree n >= 1; a and b have length n."""
     add, mul, eq, zero = F._add, F._mul, F._eq, F.zero.rep
     n = len(f) - 1
     prod = [zero] * (2 * n - 1)
@@ -416,10 +434,8 @@ def first_irreducible(F, m):
     base-|F| numbers whose digits follow F's element order: the residues
     0..p-1 over a prime field, elements() over an extension.
     """
-    digits = (range(F.char) if isinstance(F, PrimeField)
-              else [z.rep for z in F.elements()])
-    for top_down in itertools.product(digits, repeat=m):
-        coeffs = list(top_down[::-1]) + [F.one.rep]
+    for top_down in residues(F, m):
+        coeffs = top_down[::-1] + [F.one.rep]
         if is_irreducible_over(F, coeffs):
             return tuple(FieldElt(F, c) for c in coeffs)
     raise AssertionError("no irreducible polynomial found, impossible")
@@ -523,22 +539,23 @@ def sqrt_in_field(a):
     return min(r, -r, key=lambda z: z.key())
 
 
+@lru_cache(maxsize=None)
+def _nonresidue(F):
+    """The first quadratic nonresidue of the odd-order field F in elements() order."""
+    half = (F.order - 1) // 2
+    for z in F.elements():
+        if not z.is_zero() and z ** half != F.one:
+            return z
+    raise AssertionError("no nonresidue in a field of odd order, impossible")
+
+
 def _tonelli(a):
     """Tonelli-Shanks in any odd-order field, given that a is a square."""
     F = a.field
     q1 = F.order - 1
     s = padic_valuation(q1, 2)
     t = q1 >> s
-    # deterministic nonresidue scan
-    ns = None
-    for z in F.elements():
-        if z.is_zero():
-            continue
-        if z ** (q1 // 2) != F.one:
-            ns = z
-            break
-    assert ns is not None, "no nonresidue in a field of odd order, impossible"
-    c = ns ** t
+    c = _nonresidue(F) ** t
     x = a ** ((t + 1) // 2)
     b = a ** t
     m = s

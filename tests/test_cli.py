@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from wedderburn import cli
+from wedderburn import cli, oracle
 from wedderburn.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, EXIT_PANIC
 from wedderburn.groups import SNotInvolutive
 from wedderburn.oracle import GroupMismatch
@@ -90,6 +91,39 @@ def test_verify_seed_flag_accepted(capsys):
         capsys, "verify", "--q", "3", "--group", "split:n=4,s=3", "--seed", "7"
     )
     assert code == EXIT_OK
+
+
+def test_verify_seed_reaches_the_graded_algebra(capsys, monkeypatch):
+    # |G| = 40 > 32, so the oracle samples associativity triples with a
+    # seeded rng; the component count must be graded on the seeded algebra
+    rng_seeds, algebra_seeds, graded = [], {}, []
+    real_rng, real_init, real_count = (
+        np.random.default_rng, oracle.GroupAlgebra.__init__, oracle.component_count)
+
+    def rng(seed=None):
+        rng_seeds.append(seed)
+        return real_rng(seed)
+
+    def init(self, group, field, seed=0):
+        real_init(self, group, field, seed=seed)
+        algebra_seeds[id(self)] = seed
+
+    def count(A):
+        graded.append(algebra_seeds.get(id(A)))
+        return real_count(A)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(oracle.GroupAlgebra, "__init__", init)
+    monkeypatch.setattr(oracle, "component_count", count)
+    argv = ("verify", "--q", "3", "--group", "nonsplit:n=10,s=9", "--format", "json")
+    code, seeded, _ = run_cli(capsys, *argv, "--seed", "7")
+    assert code == EXIT_OK
+    assert json.loads(seeded)["order"] == 40
+    assert 7 in rng_seeds
+    assert graded == [7]
+    code, unseeded, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert seeded == unseeded
 
 
 def test_factor_over_a_large_prime(capsys):

@@ -79,6 +79,55 @@ def test_factor_rejects_bad_characteristic():
         factor_xn_minus_1(F3, 6)
 
 
+# (q, N) for the rep-kernel reference checks, with the splitting degree
+# m = ord_N(q): N = 1; m = 1 over prime fields and over F_9; m >= 2 over
+# F_3, F_5, F_7 and F_9 (up to the degree-8 tower F_9, N = 17)
+KERNEL_GRID = (
+    (3, 1), (9, 1),
+    (5, 4), (7, 3), (7, 6), (13, 12),
+    (9, 2), (9, 4), (9, 8),
+    (3, 8), (3, 11), (3, 13), (3, 20),
+    (5, 3), (5, 7), (5, 13),
+    (7, 5), (7, 9), (7, 19),
+    (9, 5), (9, 7), (9, 10), (9, 13), (9, 17),
+)
+
+
+def _scan_root(E, N):
+    """root_of_unity as a scan of E's FieldElts, kept as the reference."""
+    if N == 1:
+        return E.one
+    for w in E.elements():
+        if w.is_zero():
+            continue
+        z = w ** ((E.order - 1) // N)
+        if mul_order(z) == N:
+            return z
+    raise AssertionError("no primitive root")
+
+
+def _coset_products(F, N):
+    """factor_xn_minus_1 as Poly products over E, kept as the reference."""
+    E, _ = splitting_field(F, N)
+    zeta = _scan_root(E, N)
+    pairs = []
+    for coset in cyclotomic_cosets(N, F.order):
+        f = Poly.one(E)
+        for i in coset:
+            f = f * Poly(E, (-(zeta ** i), E.one))
+        pairs.append((coset, Poly(F, [c if E is F else c.rep[0] for c in f.coeffs])))
+    return tuple(sorted(pairs, key=lambda cg: cg[1].key()))
+
+
+@pytest.mark.parametrize("q,N", KERNEL_GRID, ids=lambda v: str(v))
+def test_rep_kernel_matches_the_element_scan(q, N):
+    F = make_field(*split_prime_power(q))
+    E, m = splitting_field(F, N)
+    assert m == ord_mod(q, N)
+    assert root_of_unity(E, N) == _scan_root(E, N)
+    assert factor_xn_minus_1(F, N) == _coset_products(F, N)
+
+
 def test_splitting_field_and_root():
     E, m = splitting_field(F3, 8)
     assert m == 2  # ord of 3 mod 8

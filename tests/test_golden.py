@@ -3,9 +3,11 @@
 Each digest is the SHA-256 of the full stdout of one `wedderburn ... --format
 json` call.  The instances reach every frame tag (psi+/psi-, quad, tau-pair,
 omega-pair, sigma-tau, eta-omega, theta-omega), both q mod 4 classes, three
-towers over F_9, and two factor lattices of splitting degree 16.  The battery
-digest covers `wedderburn battery --format json`, rebuilt from the shared
-`battery_result` fixture exactly as `cli._emit_json` prints it.
+towers over F_9, two factor lattices of splitting degree 16, and the six
+factor lattices of splitting degree 8 to 22 that the benchmark's factor-deep
+workload runs.  The battery digest covers `wedderburn battery --format json`,
+rebuilt from the shared `battery_result` fixture exactly as `cli._emit_json`
+prints it.
 
 A change that alters any of these bytes must say so and record new digests.
 """
@@ -54,6 +56,14 @@ INSTANCES = (
 DEEP = (
     (3, "split:n=17,s=16"),
     (5, "nonsplit:n=17,s=1"),
+    # the benchmark's factor-deep pairs (q, N), splitting degrees 8 to 22;
+    # q = 9, N = 17 is a degree-8 tower over F_9
+    (3, "split:n=19,s=1"),
+    (5, "split:n=23,s=1"),
+    (7, "split:n=17,s=1"),
+    (9, "split:n=17,s=1"),
+    (11, "split:n=23,s=1"),
+    (13, "split:n=19,s=1"),
 )
 
 CASES = tuple(
@@ -259,6 +269,18 @@ DIGESTS = {
         "2c43e11d64af5fc98c897fa75097dc0a4c2e7aa68e18ad34ca8988dda2e0214d",
     ('factor', 5, 'nonsplit:n=17,s=1'):
         "32295edbeb49a859421d91b99b9825f34e5e5a01cb7c0ca0bbb022b07c3d4dbf",
+    ('factor', 3, 'split:n=19,s=1'):
+        "dddf5861c259b173639093a3e13d6be084dddc306cba7ef05ee368fe7b5ea3a5",
+    ('factor', 5, 'split:n=23,s=1'):
+        "f87f48d32619f99e05c021099a3d64f3a88931803180e879eab3a8a81e397d45",
+    ('factor', 7, 'split:n=17,s=1'):
+        "dab1c1172fd3be7dcd8aa4af018b9d7314634487689f98441339765bfdccad21",
+    ('factor', 9, 'split:n=17,s=1'):
+        "c87fbd3203618554713a12268f4f6847a589f7f69047c7d4ef49e3db854a1253",
+    ('factor', 11, 'split:n=23,s=1'):
+        "bb01fb3f0a6bfc9cafdcb46705ff99ccd1695b85225c92ac703901fa89990993",
+    ('factor', 13, 'split:n=19,s=1'):
+        "787a3019375b9bf65bfdad36df568a7dc9a22c38256af66e4e6737f934ac7a12",
 }
 
 BATTERY_DIGEST = "d898472a72c25dff33d9f7e4d803258a42b7d0eae24dc1447e1f522857fe2cf9"
