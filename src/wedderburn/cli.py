@@ -93,7 +93,7 @@ def build_parser():
                      help="comma separated field sizes; empty for none")
     bat.add_argument("--kind", choices=("both", SPLIT, NONSPLIT), default="both")
     bat.add_argument("--jobs", type=int, default=None,
-                     help="worker threads (default: executor's choice)")
+                     help="worker processes (default: usable cores)")
     bat.add_argument("--no-cross-check", dest="cross_check",
                      action="store_false", default=True)
     return parser
@@ -109,6 +109,8 @@ def config_from_args(args):
         kinds = (SPLIT, NONSPLIT) if args.kind == "both" else (args.kind,)
         if args.max_n < 0:
             raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return RunConfig(max_n=args.max_n, qs=qs, kinds=kinds, jobs=args.jobs,
                          cross_check=args.cross_check, **common)
     p, m = split_prime_power(args.q)

@@ -6,16 +6,8 @@ canonicalized, and no randomness is used anywhere.
 """
 
 import itertools
-import threading
 from functools import lru_cache
 from math import isqrt
-
-# Field objects are interned (same parameters, same object) because element
-# equality checks field identity.  Interning through an lru_cache alone is
-# not enough under threads: two racers can each build a field and only one
-# ends up cached.  A re-entrant lock around the cached constructors keeps
-# the canonical-object guarantee.
-_intern_lock = threading.RLock()
 
 
 class NonPrimeCharacteristic(ValueError):
@@ -441,19 +433,16 @@ def first_irreducible(F, m):
     raise AssertionError("no irreducible polynomial found, impossible")
 
 
+@lru_cache(maxsize=None)
 def make_field(p, m):
     """The field F_{p^m}.
 
     For m >= 2 the modulus is first_irreducible(F_p, m).  That puts x^2+1
-    first for F_9 and x^3+x+1 first for F_8.  Cached, so field objects are
-    canonical.
+    first for F_9 and x^3+x+1 first for F_8.  Interned: the same (p, m)
+    gives the same object, because element equality checks field
+    identity.  Interning is per process, so a field object must never be
+    sent to another process.
     """
-    with _intern_lock:
-        return _make_field(p, m)
-
-
-@lru_cache(maxsize=None)
-def _make_field(p, m):
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if m < 1:
@@ -466,18 +455,15 @@ def _make_field(p, m):
     return ext_field(base, first_irreducible(base, m))
 
 
+@lru_cache(maxsize=None)
 def ext_field(base, modulus):
     """Interned ExtField constructor.
 
     Same (base, modulus) gives the same field object, so elements built in
-    different places compare equal.  modulus is a tuple of base elements.
+    different places compare equal: element equality checks field
+    identity.  Interning is per process, like make_field's.  modulus is a
+    tuple of base elements.
     """
-    with _intern_lock:
-        return _ext_field(base, modulus)
-
-
-@lru_cache(maxsize=None)
-def _ext_field(base, modulus):
     return ExtField(base, modulus)
 
 

@@ -12,7 +12,6 @@ numpy array of shape (|G|, m), so all the heavy loops are vectorized but
 every operation stays exact.
 """
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -114,22 +113,14 @@ class GroupAlgebra:
         return AlgebraElement(self, c)
 
 
-_algebra_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def algebra_for(group):
     """The cached F_qG over the canonical F_q from make_field.
 
-    Locked for the same reason the field constructors are: arithmetic
-    checks algebra identity, so concurrent first calls must not each get
-    their own copy.
+    Cached because arithmetic checks algebra identity, so elements built
+    from separate calls must share one algebra; like the fields, per
+    process.
     """
-    with _algebra_lock:
-        return _algebra_for(group)
-
-
-@lru_cache(maxsize=None)
-def _algebra_for(group):
     return GroupAlgebra(group, make_field(*split_prime_power(group.q)))
 
 

@@ -5,7 +5,11 @@ The full-sweep results are exercised in test_acceptance; here the harness
 pieces are checked on small inputs so failures localize.
 """
 
+import concurrent.futures
+import os
 from collections import Counter
+
+import pytest
 
 from wedderburn.battery import (
     CHECK_CLASSES,
@@ -135,12 +139,50 @@ def test_check_instance_skips_noncentral_when_asked():
 
 def test_run_battery_small_and_deterministic():
     keys = battery_instances(max_n=4, qs=(3, 5), kinds=(SPLIT,))
-    threaded = run_battery(keys)
+    pooled = run_battery(keys, jobs=2)
     serial = run_battery(keys, jobs=1)
-    assert [r.to_json() for r in threaded.reports] == [r.to_json() for r in serial.reports]
-    assert threaded.ok
-    assert not threaded.failures
-    tally = threaded.tally()
+    assert [r.to_json() for r in pooled.reports] == [r.to_json() for r in serial.reports]
+    assert pooled.ok
+    assert not pooled.failures
+    tally = pooled.tally()
     assert set(tally.keys()) == set(CHECK_CLASSES)
-    text = threaded.table()
+    text = pooled.table()
     assert "split:n=4,s=3" in text
+
+
+def test_run_battery_bounds_the_pool(monkeypatch):
+    # the spy grades in this process and starts no worker: it only records
+    # how many workers run_battery asked for
+    sizes = []
+
+    class SpyPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    keys = battery_instances(max_n=3, qs=(5,), kinds=(SPLIT,))[:3]
+    assert len(run_battery(keys, jobs=8).reports) == 3
+    run_battery(keys)                  # None: one worker per usable core
+    run_battery(keys, jobs=1)          # serial, no pool
+    run_battery(keys[:1], jobs=8)      # one instance, no pool
+    run_battery([], jobs=8)
+    assert sizes == [3, 2]
+
+
+def test_run_battery_rejects_jobs_below_one():
+    keys = battery_instances(max_n=3, qs=(5,), kinds=(SPLIT,))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_battery(keys, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_battery([], jobs=jobs)

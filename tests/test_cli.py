@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wedderburn import cli, oracle
+from wedderburn import battery, cli, oracle
 from wedderburn.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, EXIT_PANIC
 from wedderburn.groups import SNotInvolutive
 from wedderburn.oracle import GroupMismatch
@@ -189,6 +189,18 @@ def test_battery_small_run(capsys):
 def test_battery_empty_filter(capsys):
     code, out, _ = run_cli(capsys, "battery", "--max-n", "0")
     assert code == EXIT_OK
+
+
+def test_battery_rejects_jobs_below_one(capsys, monkeypatch):
+    def graded(**kwargs):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(battery, "run_battery", graded)
+    for argv in (["--max-n", "0"], ["--max-n", "2", "--qs", "3"]):
+        code, out, err = run_cli(capsys, "battery", *argv, "--jobs", "0")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--jobs" in err
 
 
 def test_battery_json(capsys):
