@@ -9,7 +9,7 @@ Factors are found by walking q-cyclotomic cosets and multiplying out
 linear terms over a splitting field E = F_q[t]/(M), then mapping the
 (Frobenius-fixed) coefficients back down.  The root-of-unity scan and the
 coset products run on the field-rep kernel of wedderburn.fields: an element
-of E is a list of F_q's reps, and FieldElts are built only for the final
+of E is a tuple of F_q's reps, and FieldElts are built only for the final
 F_q coefficients and for root_of_unity's return value.  No probabilistic
 factoring is involved, so the output ordering is reproducible bit for bit.
 """
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .fields import FieldElt, PrimeField, _pmulmod, _ppowmod, _prime_factors, \
-    ext_field, first_irreducible, ord_mod, padic_valuation, residues, \
-    split_prime_power
+from .fields import FieldElt, PrimeField, _pmul, _prime_factors, ext_field, \
+    first_irreducible, ord_mod, padic_valuation, residues, split_prime_power
 from .polys import Poly, poly_order, s_involution, x_power_minus_one
 
 
@@ -79,31 +78,25 @@ def root_of_unity(E, N):
     Scans E in its canonical element order, maps each candidate w to
     w^((|E|-1)/N), and returns the first image of exact order N.  Checking
     exactness only needs the prime divisors of N, so nothing ever factors
-    the (typically enormous) group order |E| - 1.  The scan runs on the rep
-    kernel over E's base, E = F[t]/(M), with F_p taken as F_p[t]/(t):
-    candidates are residue lists of F's reps, which come in E.elements()
-    order, and powers are taken with _ppowmod, so the only FieldElt built
-    is the one returned.
+    the (typically enormous) group order |E| - 1.  The scan runs on E's
+    reps: the candidates are the residues 0..p-1 over F_p and residue
+    tuples of the base's reps over E = F[t]/(M), which come in
+    E.elements() order, and powers are taken with E._pow, so the only
+    FieldElt built is the one returned.
     """
     if N == 1:
         return E.one
-    if isinstance(E, PrimeField):
-        F, M = E, [0, 1]
-    else:
-        F, M = E.base, [c.rep for c in E.modulus]
     size = E.order - 1
     assert size % N == 0, "field does not contain the N-th roots of unity"
     exp = size // N
     checks = [N // r for r in _prime_factors(N)]
-    one = [F.one.rep] + [F.zero.rep] * (len(M) - 2)
-    candidates = residues(F, len(M) - 1)
+    one = E.one.rep
+    candidates = iter(range(E.char)) if isinstance(E, PrimeField) else residues(E.base, E.deg)
     next(candidates)  # 0 comes first and has no order
     for w in candidates:
-        z = _ppowmod(w, exp, M, F)
-        if all(_ppowmod(z, c, M, F) != one for c in checks):
-            if E is F:
-                return FieldElt(E, z[0])
-            return FieldElt(E, tuple(FieldElt(F, c) for c in z))
+        z = E._pow(w, exp)
+        if all(E._pow(z, c) != one for c in checks):
+            return FieldElt(E, z)
     raise AssertionError("no primitive root found, impossible in a cyclic group")
 
 
@@ -114,43 +107,30 @@ def factor_xn_minus_1(field, N):
     Returns a tuple of (coset, poly) pairs sorted by the polynomial sort
     key, where coset is the q-cyclotomic coset of exponents i with
     zeta^i a root.  The product of all factors is asserted to recompose
-    x^N - 1 exactly.  Each coset's product runs over E = field[t]/(M) on
-    residue lists of field's reps (M = t when E is field itself).
+    x^N - 1 exactly.  Each coset's product is a list of E's reps, built
+    one linear factor at a time on the rep kernel.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     F = field
     E, _ = splitting_field(F, N)
-    zeta = root_of_unity(E, N)
-    if E is F:
-        M, z = [F.zero.rep, F.one.rep], [zeta.rep]
-    else:
-        M, z = [c.rep for c in E.modulus], [c.rep for c in zeta.rep]
-    zero = F.zero.rep
-    one = [F.one.rep] + [zero] * (len(M) - 2)
-
-    def add(a, b):
-        return [F._add(x, y) for x, y in zip(a, b)]
-
+    zeta, one = root_of_unity(E, N).rep, E.one.rep
     powers = [one]
     for _ in range(N - 1):
-        powers.append(_pmulmod(powers[-1], z, M, F))
+        powers.append(E._mul(powers[-1], zeta))
     pairs = []
     for coset in cyclotomic_cosets(N, F.order):
         f = [one]  # monic, low coefficient first, entries in E
         for i in coset:
-            r = [F._neg(c) for c in powers[i]]
-            # f * (x - zeta^i): coefficient k is f[k-1] - zeta^i * f[k]
-            f = ([_pmulmod(r, f[0], M, F)]
-                 + [add(f[k - 1], _pmulmod(r, f[k], M, F)) for k in range(1, len(f))]
-                 + [f[-1]])
+            f = _pmul(f, [E._neg(powers[i]), one], E)  # f * (x - zeta^i)
         coeffs = []
         for c in f:
-            assert _ppowmod(c, F.order, M, F) == c, \
-                "factor coefficient not Frobenius-fixed"
-            assert all(F._eq(x, zero) for x in c[1:]), \
-                "factor coefficient has a nonzero extension part"
-            coeffs.append(FieldElt(F, c[0]))
+            assert E._pow(c, F.order) == c, "factor coefficient not Frobenius-fixed"
+            if E is not F:
+                assert all(x == F.zero.rep for x in c[1:]), \
+                    "factor coefficient has a nonzero extension part"
+                c = c[0]
+            coeffs.append(FieldElt(F, c))
         g = Poly(F, coeffs)
         assert g.degree == len(coset)
         assert g.lead() == F.one

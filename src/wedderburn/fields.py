@@ -3,9 +3,14 @@
 Everything here is immutable and deterministic: the modulus picked for
 F_{p^m} is the first irreducible in a fixed enumeration, square roots are
 canonicalized, and no randomness is used anywhere.
+
+An element's rep is plain data: an int 0..p-1 over F_p, and over an
+extension a tuple of its base field's reps, so ints over a prime base and
+nested tuples for towers.  All arithmetic runs on reps, through the dense
+polynomial kernel at the bottom of this module; FieldElt is the public
+wrapper that pairs a rep with its field.
 """
 
-import itertools
 from functools import lru_cache
 from math import isqrt
 
@@ -111,19 +116,23 @@ class FieldElt:
     def _wrap(self, rep):
         return FieldElt(self.field, rep)
 
+    def _check(self, other):
+        if not isinstance(other, FieldElt) or other.field is not self.field:
+            raise TypeError("mixed-field arithmetic")
+
     def __add__(self, other):
-        self.field._check(other)
+        self._check(other)
         return self._wrap(self.field._add(self.rep, other.rep))
 
     def __sub__(self, other):
-        self.field._check(other)
+        self._check(other)
         return self._wrap(self.field._add(self.rep, self.field._neg(other.rep)))
 
     def __neg__(self):
         return self._wrap(self.field._neg(self.rep))
 
     def __mul__(self, other):
-        self.field._check(other)
+        self._check(other)
         return self._wrap(self.field._mul(self.rep, other.rep))
 
     def __truediv__(self, other):
@@ -132,27 +141,20 @@ class FieldElt:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return self._wrap(self.field._pow(self.rep, k))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         # a^(|F|-2); fields here are small enough that this never matters
-        return self ** (self.field.order - 2)
+        return self._wrap(self.field._pow(self.rep, self.field.order - 2))
 
     def is_zero(self):
-        return self.field._eq(self.rep, self.field.zero.rep)
+        return self.rep == self.field.zero.rep
 
     def __eq__(self, other):
         return (isinstance(other, FieldElt) and other.field is self.field
-                and self.field._eq(self.rep, other.rep))
+                and self.rep == other.rep)
 
     def __hash__(self):
         if self._hash is None:
@@ -182,10 +184,6 @@ class PrimeField:
     def elt(self, v):
         return FieldElt(self, v % self.char)
 
-    def _check(self, other):
-        if not isinstance(other, FieldElt) or other.field is not self:
-            raise TypeError("mixed-field arithmetic")
-
     def _add(self, a, b):
         return (a + b) % self.char
 
@@ -195,8 +193,8 @@ class PrimeField:
     def _mul(self, a, b):
         return a * b % self.char
 
-    def _eq(self, a, b):
-        return a == b
+    def _pow(self, a, k):
+        return pow(a, k, self.char)
 
     def _key(self, a):
         return (a,)
@@ -215,8 +213,10 @@ class PrimeField:
 class ExtField:
     """base[x]/(modulus): an extension field over any FiniteField base.
 
-    Elements are tuples of base-field elements, little-endian, of length
-    exactly deg(modulus).  The residue of x is .gen.
+    Elements are tuples of base-field reps, little-endian, of length
+    exactly deg(modulus): ints over a prime base, nested tuples over an
+    extension.  The residue of x is .gen.  modulus stays a tuple of base
+    FieldElts, the key ext_field interns on.
     """
 
     def __init__(self, base, modulus):
@@ -228,76 +228,60 @@ class ExtField:
         self.char = base.char
         self.order = base.order ** self.deg
         self.degree = base.degree * self.deg
-        self.zero = FieldElt(self, (base.zero,) * self.deg)
-        self.one = FieldElt(self, (base.one,) + (base.zero,) * (self.deg - 1))
-        if self.deg == 1:
-            self.gen = FieldElt(self, (-modulus[0],))
-        else:
-            self.gen = FieldElt(
-                self, (base.zero, base.one) + (base.zero,) * (self.deg - 2))
-        # x^deg == -(low part of modulus), cached for reduction
-        self._xdeg = tuple(-c for c in modulus[:-1])
+        self._m = [c.rep for c in self.modulus]
+        # p over a prime base, for inline arithmetic on int reps
+        self._p = base.char if isinstance(base, PrimeField) else 0
+        zero, one = base.zero.rep, base.one.rep
+        self.zero = FieldElt(self, (zero,) * self.deg)
+        self.one = FieldElt(self, (one,) + (zero,) * (self.deg - 1))
+        self.gen = FieldElt(self, (base._neg(self._m[0]),) if self.deg == 1
+                            else (zero, one) + (zero,) * (self.deg - 2))
 
     def elt(self, coeffs):
         """Build an element from an iterable of base elements (or ints), low first."""
         out = []
         for c in coeffs:
             if isinstance(c, int):
-                if not isinstance(self.base, PrimeField):
+                if not self._p:
                     raise TypeError("int coefficients only over a prime base")
                 c = self.base.elt(c)
-            out.append(c)
+            elif not isinstance(c, FieldElt) or c.field is not self.base:
+                raise TypeError("coefficient from a different field")
+            out.append(c.rep)
         if len(out) > self.deg:
             raise ValueError("too many coefficients")
-        out += [self.base.zero] * (self.deg - len(out))
+        out += [self.base.zero.rep] * (self.deg - len(out))
         return FieldElt(self, tuple(out))
 
     def lift(self, a):
         """Embed a base-field element."""
         return self.elt([a])
 
-    def _check(self, other):
-        if not isinstance(other, FieldElt) or other.field is not self:
-            raise TypeError("mixed-field arithmetic")
-
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        p = self._p
+        return tuple([(x + y) % p for x, y in zip(a, b)] if p else map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        p = self._p
+        return tuple([-x % p for x in a] if p else map(self.base._neg, a))
 
     def _mul(self, a, b):
-        n = self.deg
-        prod = [self.base.zero] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = prod[i + j] + x * y
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c.is_zero():
-                continue
-            for i, r in enumerate(self._xdeg):
-                prod[k - n + i] = prod[k - n + i] + c * r
-        return tuple(prod[:n])
+        return tuple(_pmulmod(a, b, self._m, self.base))
 
-    def _eq(self, a, b):
-        return a == b
+    def _pow(self, a, k):
+        return tuple(_ppowmod(a, k, self._m, self.base))
 
     def _key(self, a):
-        out = ()
-        for c in a:
-            out += c.key()
-        return out
+        return a if self._p else sum(map(self.base._key, a), ())
 
     def _show(self, a):
-        var = "t" if isinstance(self.base, PrimeField) else "u"
+        var, show = ("t", str) if self._p else ("u", lambda c: f"({self.base._show(c)})")
+        zero = self.base.zero.rep
         parts = []
         for i, c in enumerate(a):
-            if c.is_zero():
+            if c == zero:
                 continue
-            cs = repr(c) if isinstance(self.base, PrimeField) else f"({c!r})"
+            cs = show(c)
             if i == 0:
                 parts.append(cs)
             elif i == 1:
@@ -308,8 +292,7 @@ class ExtField:
 
     def elements(self):
         """All elements, ascending in key() order.  Only call on small fields."""
-        base_elts = list(self.base.elements())
-        for combo in itertools.product(base_elts, repeat=self.deg):
+        for combo in residues(self.base, self.deg):
             yield FieldElt(self, combo)
 
     def __repr__(self):
@@ -318,17 +301,19 @@ class ExtField:
 
 # ---------------------------------------------------------------------------
 # the rep kernel: dense polynomials over a field F as lists of F's reps, low
-# coefficient first, with F's own _add/_mul/_neg/_eq doing the arithmetic.
-# The modulus search runs on it, and so does arithmetic in F[t]/(M), whose
-# elements are the residues of length deg(M).
+# coefficient first.  One multiply (_pmul) and one division (_pdivmod): over
+# F_p both run inline on ints with one % p per output coefficient, over an
+# extension through F's own _add/_mul/_neg.  Everything else (F[t]/(M)
+# arithmetic, extension fields, Poly) is built on the two.
 
 
 def residues(F, m):
-    """Every list of m >= 1 reps of F, ascending as base-|F| numbers.
+    """Every tuple of m >= 1 reps of F, ascending as base-|F| numbers.
 
     The digits follow F's element order (the residues 0..p-1 over F_p),
-    first entry most significant, so as residues of F[t]/(M) the lists come
-    in elements() order.  Lazy, so a large prime field costs nothing up front.
+    first entry most significant, so as residues of F[t]/(M) the tuples
+    come in elements() order.  Lazy, so a large prime field costs nothing
+    up front.
     """
     digits = range(F.char) if isinstance(F, PrimeField) else [z.rep for z in F.elements()]
     for k in range(len(digits) ** m):
@@ -336,25 +321,68 @@ def residues(F, m):
         for i in range(m - 1, -1, -1):
             k, d = divmod(k, len(digits))
             w[i] = digits[d]
-        yield w
+        yield tuple(w)
+
+
+def _pmul(a, b, F):
+    """The product of a and b, of length len(a) + len(b) - 1 ([] if either is [])."""
+    if not a or not b:
+        return []
+    lb = len(b)
+    if isinstance(F, PrimeField):
+        out = [0] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+        p = F.char
+        return [c % p for c in out]
+    add, mul, zero = F._add, F._mul, F.zero.rep
+    out = [zero] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
+    return out
+
+
+def _pdivmod(a, b, F):
+    """Quotient and remainder of a by b, whose last entry is nonzero.
+
+    The remainder is r[:len(b) - 1] of the working list, untrimmed: of
+    length exactly deg(b) when a is at least that long, as F[t]/(b) wants.
+    """
+    n = len(b) - 1
+    if isinstance(F, PrimeField):
+        p, r = F.char, list(a)
+        inv = pow(b[-1], -1, p)
+        q = [0] * max(0, len(r) - n)
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r[k] % p * inv % p
+            if c:
+                q[k - n] = c
+                r[k - n:k] = [x - c * y for x, y in zip(r[k - n:k], b)]
+        return q, [x % p for x in r[:n]]
+    add, mul, neg, zero = F._add, F._mul, F._neg, F.zero.rep
+    inv = None if b[-1] == F.one.rep else F._pow(b[-1], F.order - 2)
+    q = [zero] * max(0, len(a) - n)
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        if r[k] != zero:
+            q[k - n] = c = r[k] if inv is None else mul(r[k], inv)
+            c = neg(c)
+            r[k - n:k] = [add(x, mul(c, y)) for x, y in zip(r[k - n:k], b)]
+    return q, r[:n]
+
+
+def _padd(a, b, F):
+    """a + b, of length max(len(a), len(b))."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(F._add, a, b), *a[len(b):]]
 
 
 def _pmulmod(a, b, f, F):
     """a * b mod the monic f of degree n >= 1; a and b have length n."""
-    add, mul, eq, zero = F._add, F._mul, F._eq, F.zero.rep
-    n = len(f) - 1
-    prod = [zero] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if not eq(x, zero):
-            for j, y in enumerate(b):
-                prod[i + j] = add(prod[i + j], mul(x, y))
-    tail = [F._neg(c) for c in f[:n]]  # x^n = -(f - x^n) mod f
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if not eq(c, zero):
-            for i in range(n):
-                prod[k - n + i] = add(prod[k - n + i], mul(c, tail[i]))
-    return prod[:n]
+    return _pdivmod(_pmul(a, b, F), f, F)[1]
 
 
 def _ppowmod(a, e, f, F):
@@ -362,40 +390,24 @@ def _ppowmod(a, e, f, F):
     while e:
         if e & 1:
             r = _pmulmod(r, a, f, F)
-        a = _pmulmod(a, a, f, F)
         e >>= 1
+        if e:
+            a = _pmulmod(a, a, f, F)
     return r
 
 
-def _pis_zero(a, F):
-    return len(a) == 1 and F._eq(a[0], F.zero.rep)
-
-
 def _ptrim(a, F):
-    a = list(a)
-    while len(a) > 1 and F._eq(a[-1], F.zero.rep):
-        a.pop()
-    return a
-
-
-def _pmod(a, b, F):
-    a = _ptrim(a, F)
-    b = _ptrim(b, F)
-    inv = FieldElt(F, b[-1]).inverse().rep
-    while len(a) >= len(b) and not _pis_zero(a, F):
-        shift = len(a) - len(b)
-        c = F._neg(F._mul(a[-1], inv))
-        for i, x in enumerate(b):
-            a[i + shift] = F._add(a[i + shift], F._mul(c, x))
-        a = _ptrim(a, F)
-    return a
+    """a without its trailing zeros; [] for the zero polynomial."""
+    n, zero = len(a), F.zero.rep
+    while n and a[n - 1] == zero:
+        n -= 1
+    return a[:n]
 
 
 def _pgcd(a, b, F):
-    a = _ptrim(a, F)
-    b = _ptrim(b, F)
-    while not _pis_zero(b, F):
-        a, b = b, _pmod(a, b, F)
+    a, b = _ptrim(a, F), _ptrim(b, F)
+    while b:
+        a, b = b, _ptrim(_pdivmod(a, b, F)[1], F)
     return a
 
 
@@ -408,7 +420,7 @@ def is_irreducible_over(F, f):
     if m == 1:
         return True
     x = [F.zero.rep, F.one.rep] + [F.zero.rep] * (m - 2)
-    if not all(map(F._eq, _ppowmod(x, F.order ** m, f, F), x)):
+    if _ppowmod(x, F.order ** m, f, F) != x:
         return False
     for r in _prime_factors(m):
         h = _ppowmod(x, F.order ** (m // r), f, F)
@@ -427,7 +439,7 @@ def first_irreducible(F, m):
     0..p-1 over a prime field, elements() over an extension.
     """
     for top_down in residues(F, m):
-        coeffs = top_down[::-1] + [F.one.rep]
+        coeffs = [*top_down[::-1], F.one.rep]
         if is_irreducible_over(F, coeffs):
             return tuple(FieldElt(F, c) for c in coeffs)
     raise AssertionError("no irreducible polynomial found, impossible")

@@ -157,7 +157,7 @@ def _central_entries(g, decomposition):
         if comp.source.kind == ABELIAN_PART and comp.source.frame != "quad":
             # (1 + B(x) y)/2 * e_f with B(theta) the inverse of the y-image
             v = comp.image_y[0][0]
-            B = Poly(F, v.inverse().rep)
+            B = Poly.from_reps(F, v.inverse().rep)
             elt = e_f * A.from_polys(half, half * B)
         elif comp.source.kind == PAIR:
             elt = e_f + _factor_idempotent(g, comp.source.partner)

@@ -60,6 +60,14 @@ class GroupAlgebra:
         self.p = field.char
         self.m = field.degree
         self.size = group.order
+        # the largest int64 sums before a reduction mod p: an einsum entry of
+        # multiply (m^2 terms, times a structure constant if m > 1), |G| residues
+        p1, m = self.p - 1, self.m
+        entry = p1 * p1 * (m * m * p1 if m > 1 else 1)
+        if max(entry, self.size * p1) >= 2 ** 63:
+            raise ValueError(f"q = {field.order} is too large for the oracle's exact int64 "
+                             "arithmetic: it needs m^2 (p-1)^3 < 2^63 for m > 1, "
+                             "(p-1)^2 < 2^63 for m = 1, and |G| (p-1) < 2^63")
         self.elements = group_elements(group)
         n = self.size
         table = np.zeros((n, n), dtype=np.intp)
@@ -199,10 +207,15 @@ class AlgebraElement:
 
 
 def multiply(u, v):
-    """Exact product in the group algebra via the multiplication table."""
+    """Exact product in the group algebra via the multiplication table.
+
+    Each einsum entry is reduced mod p before the table adds |G| of them
+    up, so no sum leaves int64 within GroupAlgebra's bound on p.
+    """
     u._check(v)
     A = u.algebra
     prod = np.einsum("im,jn,mnk->ijk", u.coeffs, v.coeffs, A.tensor)
+    prod %= A.p
     out = np.zeros((A.size, A.m), dtype=np.int64)
     np.add.at(out, A.table.ravel(), prod.reshape(-1, A.m))
     return AlgebraElement(A, out)
@@ -309,7 +322,10 @@ def center_basis(algebra):
     Imposes the commutation constraint with every basis element in turn,
     shrinking a nullspace basis as it goes.  The constraints have 0/1
     integer coefficients, so a mod-p basis is automatically an F_q-basis
-    of the F_q-center; its length is the center's F_q-dimension.
+    of the F_q-center; its length is the center's F_q-dimension.  Each
+    constraint equates two coordinates, so B stays the 0/1 indicator matrix
+    of a partition of G, one 1 per row, and no product below sums more than
+    two nonzero terms of size 1: exact in int64 for every p.
     """
     A = algebra
     n, p = A.size, A.p
@@ -388,10 +404,6 @@ def _as_ext_elt(K, v):
     raise TypeError("prescription entry from the wrong field")
 
 
-def _ext_to_poly(field, a):
-    return Poly(field, a.rep)
-
-
 def interpolate_idempotent(algebra, targets, report=None):
     """The unique u = P(x) + Q(x) y with the prescribed per-factor images.
 
@@ -425,7 +437,8 @@ def interpolate_idempotent(algebra, targets, report=None):
     def put(pos, p_elt, q_elt):
         assert pos not in residues, "duplicate prescription"
         f = report.factors[pos].poly
-        residues[pos] = (_ext_to_poly(F, p_elt) % f, _ext_to_poly(F, q_elt) % f)
+        residues[pos] = (Poly.from_reps(F, p_elt.rep) % f,
+                         Poly.from_reps(F, q_elt.rep) % f)
 
     for pos, target in sorted(targets.items()):
         fac = report.factors[pos]

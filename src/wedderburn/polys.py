@@ -1,10 +1,13 @@
 """Dense univariate polynomials over the exact fields of wedderburn.fields.
 
-A Poly keeps a trimmed little-endian coefficient tuple; the zero polynomial
-has an empty tuple and degree -1.  All operations are exact.
+A Poly keeps a trimmed little-endian coefficient tuple of FieldElts; the
+zero polynomial has an empty tuple and degree -1.  All operations are
+exact.  Products and division with remainder run on the _p* rep kernel of
+wedderburn.fields: a Poly hands it its coefficients' reps and wraps each
+output coefficient once, so %, ext_gcd, powmod and the rest ride on it.
 """
 
-from .fields import ExtField, FieldElt, is_irreducible_over
+from .fields import ExtField, FieldElt, _padd, _pdivmod, _pmul, _ptrim, is_irreducible_over
 
 
 class FieldMismatch(TypeError):
@@ -36,10 +39,24 @@ class Poly:
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
+        if not all(isinstance(c, FieldElt) and c.field is field for c in cs):
+            raise FieldMismatch("coefficient from a different field")
         while cs and cs[-1].is_zero():
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def from_reps(cls, field, reps):
+        """The Poly with coefficient reps `reps` of field, low first, such as
+        an extension element's rep; reps are trusted, not checked."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.coeffs = tuple([FieldElt(field, r) for r in _ptrim(reps, field)])
+        return self
+
+    def _reps(self):
+        return [c.rep for c in self.coeffs]
 
     @classmethod
     def from_ints(cls, field, ints):
@@ -93,13 +110,12 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return Poly.from_reps(self.field, _padd(self._reps(), other._reps(), self.field))
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        F = self.field
+        return Poly.from_reps(F, _padd(self._reps(), list(map(F._neg, other._reps())), F))
 
     def __neg__(self):
         return Poly(self.field, [-c for c in self.coeffs])
@@ -110,15 +126,7 @@ class Poly:
                 raise FieldMismatch("scalar from a different field")
             return Poly(self.field, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly.from_reps(self.field, _pmul(self._reps(), other._reps(), self.field))
 
     __rmul__ = __mul__
 
@@ -126,21 +134,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo = [self.field.zero] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        inv = other.lead().inverse()
-        db = other.degree
-        while len(rem) - 1 >= db and rem:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) - 1 < db:
-                break
-            c = rem[-1] * inv
-            shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, b in enumerate(other.coeffs):
-                rem[i + shift] = rem[i + shift] - c * b
-        return Poly(self.field, quo), Poly(self.field, rem)
+        quo, rem = _pdivmod(self._reps(), other._reps(), self.field)
+        return Poly.from_reps(self.field, quo), Poly.from_reps(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -212,3 +212,25 @@ def test_battery_json(capsys):
     doc = json.loads(out)
     assert doc["summary"]["failures"] == []
     assert all(len(v) == 3 for v in doc["summary"]["by_check"].values())
+
+
+@pytest.mark.parametrize("q, group", [("1000000321", "split:n=16,s=15"),
+                                      ("1000000321", "split:n=32,s=31"),
+                                      ("3037000493", "split:n=16,s=15")])
+def test_verify_is_exact_at_a_large_prime(capsys, q, group):
+    # at p ~ 1e9 one product of two coefficients is ~1e18; summing |G| of them
+    # unreduced overflowed int64 and failed correct idempotents.  3037000493 is
+    # the largest prime with (p - 1)^2 < 2^63, the oracle's bound for m = 1.
+    code, out, _ = run_cli(capsys, "verify", "--q", q, "--group", group,
+                           "--format", "json")
+    doc = json.loads(out)
+    assert doc["checks"] == {name: "pass" for name in battery.CHECK_CLASSES}
+    assert code == EXIT_OK
+
+
+def test_verify_refuses_a_prime_past_the_oracle_bound(capsys):
+    # (p - 1)^2 >= 2^63 for the prime p = 2^32 + 15
+    code, out, err = run_cli(capsys, "verify", "--q", "4294967311", "--group", "split:n=2,s=1")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "too large for the oracle" in err

@@ -22,7 +22,8 @@ from wedderburn.cyclotomic import (
     two_adic_steps_expected,
     two_adic_tower,
 )
-from wedderburn.fields import make_field, mul_order, ord_mod, padic_valuation, split_prime_power
+from wedderburn.fields import FieldElt, make_field, mul_order, ord_mod, padic_valuation, \
+    split_prime_power
 from wedderburn.polys import Poly, x_power_minus_one
 
 F3 = make_field(3, 1)
@@ -115,7 +116,8 @@ def _coset_products(F, N):
         f = Poly.one(E)
         for i in coset:
             f = f * Poly(E, (-(zeta ** i), E.one))
-        pairs.append((coset, Poly(F, [c if E is F else c.rep[0] for c in f.coeffs])))
+        pairs.append((coset, Poly(F, [c if E is F else FieldElt(F, c.rep[0])
+                                      for c in f.coeffs])))
     return tuple(sorted(pairs, key=lambda cg: cg[1].key()))
 
 

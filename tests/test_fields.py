@@ -64,6 +64,15 @@ def test_ext_field_interns():
     assert ext_field(F, m) is ext_field(F, m)
 
 
+def test_ext_elt_rejects_coefficients_from_another_field():
+    F3, F5, F9 = make_field(3, 1), make_field(5, 1), make_field(3, 2)
+    with pytest.raises(TypeError):
+        F9.elt([F5.elt(1), F5.elt(2)])
+    with pytest.raises(TypeError):
+        ext_field(F9, first_irreducible(F9, 2)).elt([F3.elt(1)])  # a tower over F_9
+    assert F9.elt([F3.elt(1), F3.elt(2)]) == F9.elt([1, 2])
+
+
 def test_field_axioms_exhaustive_small():
     # full associativity/distributivity sweep for |F| up to 27
     for p, m in ((3, 1), (5, 1), (3, 2), (2, 3), (3, 3)):

@@ -89,6 +89,14 @@ def test_ext_gcd_errors():
         ext_gcd(P(1, 1), Poly.from_ints(F9, (1, 1)))
 
 
+def test_coefficients_from_another_field_are_rejected():
+    F5 = make_field(5, 1)
+    with pytest.raises(FieldMismatch):
+        Poly(F5, [F3.elt(1), F3.elt(2)])
+    with pytest.raises(FieldMismatch):
+        Poly(F3, [1, 2])
+
+
 def test_inverse_mod_examples():
     assert inverse_mod(P(2, 0, 1), P(1, 0, 1)).is_one()      # x^2-1 = -2 = 1 mod x^2+1
     assert inverse_mod(Poly.one(F3), P(1, 1, 1)).is_one()
