@@ -9,7 +9,8 @@ this module, never the other way around.
 
 Coefficients of F_{p^m} are stored componentwise as integers mod p in a
 numpy array of shape (|G|, m), so all the heavy loops are vectorized but
-every operation stays exact.
+every operation stays exact.  Products and the centrality test gather
+through division tables: left[a, k] = b with ab = k, right[k, c] = b with bk = c.
 """
 
 from functools import lru_cache
@@ -47,9 +48,9 @@ def _structure_tensor(field):
 class GroupAlgebra:
     """The group algebra F_qG with its multiplication table.
 
-    The table is validated on construction: identity row and column, and
+    The table is validated on construction: identity row and column,
     associativity checked exhaustively for |G| <= 32 or on seeded random
-    triples above that.
+    triples above that, and every row and column a permutation.
     """
 
     def __init__(self, group, field, seed=0):
@@ -60,8 +61,8 @@ class GroupAlgebra:
         self.p = field.char
         self.m = field.degree
         self.size = group.order
-        # the largest int64 sums before a reduction mod p: an einsum entry of
-        # multiply (m^2 terms, times a structure constant if m > 1), |G| residues
+        # multiply's largest int64 intermediates are m (p-1)^2 and |G| (p-1); the
+        # threshold is kept as it was, m^2 (p-1)^3 >= m (p-1)^2 for m > 1
         p1, m = self.p - 1, self.m
         entry = p1 * p1 * (m * m * p1 if m > 1 else 1)
         if max(entry, self.size * p1) >= 2 ** 63:
@@ -77,17 +78,27 @@ class GroupAlgebra:
                 table[a, b] = element_index(group, i, j)
         self.table = table
         self.table.setflags(write=False)
-        assert (table[0] == np.arange(n)).all() and (table[:, 0] == np.arange(n)).all()
+        idx = np.arange(n)
+        assert (table[0] == idx).all() and (table[:, 0] == idx).all()
         if n <= 32:
             left = table[table]                       # [a,b,c] = (ab)c
             right = np.take(table, table, axis=1)     # [a,b,c] = a(bc)
             assert (left == right).all(), "multiplication table not associative"
         else:
             rng = np.random.default_rng(seed)
-            abc = rng.integers(0, n, size=(2000, 3))
-            for a, b, c in abc:
-                assert table[table[a, b], c] == table[a, table[b, c]]
+            a, b, c = rng.integers(0, n, size=(2000, 3)).T
+            assert (table[table[a, b], c] == table[a, table[b, c]]).all(), \
+                "multiplication table not associative"
+        # argsort inverts the rows and columns if they are permutations:
+        # table[a, left[a, k]] = k and table[right[k, c], k] = c
+        self.left = np.argsort(table, axis=1)
+        self.right = np.ascontiguousarray(np.argsort(table, axis=0).T)
+        assert (np.take_along_axis(table, self.left, axis=1) == idx).all() and \
+            (table[self.right, idx[:, None]] == idx).all(), "table is not a Latin square"
+        self.left.setflags(write=False)
+        self.right.setflags(write=False)
         self.tensor = _structure_tensor(field)
+        self._center = None  # center_basis fills this in on its first call
 
     def zero(self):
         return AlgebraElement(self, np.zeros((self.size, self.m), dtype=np.int64))
@@ -207,33 +218,19 @@ class AlgebraElement:
 
 
 def multiply(u, v):
-    """Exact product in the group algebra via the multiplication table.
+    """Exact product in the group algebra, gathered through the left table.
 
-    Each einsum entry is reduced mod p before the table adds |G| of them
-    up, so no sum leaves int64 within GroupAlgebra's bound on p.
+    UT[a] is the F_p-matrix of x -> u_a x, so P[a, k] is the term u_a v_{left[a, k]}
+    of coefficient k; each is reduced mod p before the |G| terms are summed, so
+    no intermediate leaves int64 within GroupAlgebra's bound.
     """
     u._check(v)
     A = u.algebra
-    prod = np.einsum("im,jn,mnk->ijk", u.coeffs, v.coeffs, A.tensor)
-    prod %= A.p
-    out = np.zeros((A.size, A.m), dtype=np.int64)
-    np.add.at(out, A.table.ravel(), prod.reshape(-1, A.m))
-    return AlgebraElement(A, out)
-
-
-def _left_mul_coeffs(u, k):
-    """Coefficients of e_k * u (basis element times u); a permutation of u's."""
-    A = u.algebra
-    out = np.zeros_like(u.coeffs)
-    out[A.table[k, :]] = u.coeffs
-    return out
-
-
-def _right_mul_coeffs(u, k):
-    A = u.algebra
-    out = np.zeros_like(u.coeffs)
-    out[A.table[:, k]] = u.coeffs
-    return out
+    m, p = A.m, A.p
+    UT = (u.coeffs @ A.tensor.reshape(m, m * m)).reshape(A.size, m, m) % p
+    P = np.take(v.coeffs, A.left, axis=0) @ UT
+    P %= p
+    return AlgebraElement(A, P.sum(axis=0))
 
 
 def is_idempotent(u):
@@ -241,11 +238,12 @@ def is_idempotent(u):
 
 
 def is_central(u):
-    """u commutes with every group basis element (hence with everything)."""
-    for k in range(u.algebra.size):
-        if not np.array_equal(_left_mul_coeffs(u, k), _right_mul_coeffs(u, k)):
-            return False
-    return True
+    """u commutes with every group basis element (hence with everything).
+
+    Row k of u gathered through left is e_k u, and through right u e_k.
+    """
+    c, A = u.coeffs, u.algebra
+    return bool((np.take(c, A.left, axis=0) == np.take(c, A.right, axis=0)).all())
 
 
 def are_orthogonal(u, v):
@@ -320,22 +318,22 @@ def center_basis(algebra):
     """Basis of the center {z : z e_k = e_k z for all k}, over F_q.
 
     Imposes the commutation constraint with every basis element in turn,
-    shrinking a nullspace basis as it goes.  The constraints have 0/1
-    integer coefficients, so a mod-p basis is automatically an F_q-basis
-    of the F_q-center; its length is the center's F_q-dimension.  Each
-    constraint equates two coordinates, so B stays the 0/1 indicator matrix
-    of a partition of G, one 1 per row, and no product below sums more than
-    two nonzero terms of size 1: exact in int64 for every p.
+    shrinking a nullspace basis as it goes.  The constraint for e_k is
+    z[left[k, c]] = z[right[k, c]] for every c, a gather on B's rows.  The
+    constraints have 0/1 integer coefficients, so a mod-p basis is
+    automatically an F_q-basis of the F_q-center; its length is the center's
+    F_q-dimension.  Each constraint equates two coordinates, so B stays the
+    0/1 indicator matrix of a partition of G, one 1 per row, and no product
+    below sums more than two nonzero terms of size 1: exact in int64 for
+    every p.  Computed once per algebra and kept on it, as a tuple.
     """
     A = algebra
+    if A._center is not None:
+        return A._center
     n, p = A.size, A.p
     B = np.eye(n, dtype=np.int64)
-    idx = np.arange(n)
     for k in range(n):
-        C = np.zeros((n, n), dtype=np.int64)
-        C[A.table[k, :], idx] += 1
-        C[A.table[:, k], idx] -= 1
-        M = (C @ B) % p
+        M = (B[A.left[k]] - B[A.right[k]]) % p
         if M.any():
             B = (B @ _nullspace_mod(M, p)) % p
             if B.shape[1] == 0:
@@ -345,7 +343,8 @@ def center_basis(algebra):
         c = np.zeros((n, A.m), dtype=np.int64)
         c[:, 0] = col
         out.append(AlgebraElement(A, c))
-    return out
+    A._center = tuple(out)
+    return A._center
 
 
 def center_dimension(algebra):

@@ -8,14 +8,25 @@ between independent code paths.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedderburn import oracle
 from wedderburn.cyclotomic import classify
 from wedderburn.fields import ext_field, make_field
-from wedderburn.groups import NONSPLIT, SPLIT, group_elements, group_mult, make_group
+from wedderburn.groups import (
+    NONSPLIT,
+    SPLIT,
+    element_index,
+    group_elements,
+    group_mult,
+    make_group,
+)
 from wedderburn.polys import Poly
 from wedderburn.oracle import (
+    AlgebraElement,
     GroupAlgebra,
     GroupMismatch,
     InconsistentPrescription,
@@ -172,3 +183,149 @@ def test_interpolated_sign_prescription():
     v = interpolate_idempotent(A, {1: ("signs", 0, 1)}, rep)
     assert is_idempotent(v) and is_central(v)
     assert are_orthogonal(u, v)
+
+
+def test_associativity_check_rejects_a_broken_table(monkeypatch):
+    # x^i y^j * x^k y^l -> x^(i-k) y^(j+l) away from the identity: identity
+    # row and column intact, associativity broken on most triples
+    def broken(g, a, b):
+        if a == (0, 0) or b == (0, 0):
+            return group_mult(g, a, b)
+        return (a[0] - b[0]) % g.N, (a[1] + b[1]) % 2
+
+    monkeypatch.setattr(oracle, "group_mult", broken)
+    for g in (D8, make_group(SPLIT, 17, 16, 3)):  # exhaustive, then seeded
+        with pytest.raises(AssertionError, match="not associative"):
+            GroupAlgebra(g, make_field(3, 1))
+
+
+# groups over F_5, F_7, F_9 and F_25, split and nonsplit; nonsplit:n=5,s=1 is
+# abelian, split:n=17,s=16 takes the seeded associativity path
+PRODUCT_GROUPS = [
+    make_group(SPLIT, 6, 5, 5), make_group(NONSPLIT, 3, 5, 5),
+    make_group(SPLIT, 17, 16, 5),
+    make_group(SPLIT, 5, 4, 7), make_group(NONSPLIT, 4, 7, 7),
+    make_group(SPLIT, 4, 3, 9), make_group(NONSPLIT, 5, 9, 9),
+    make_group(NONSPLIT, 5, 1, 9),
+    make_group(SPLIT, 6, 5, 25), make_group(NONSPLIT, 3, 5, 25),
+]
+
+
+@st.composite
+def algebra_elements(draw, groups, count):
+    """An algebra from groups and count elements of it, some of them sparse."""
+    A = algebra_for(draw(st.sampled_from(groups)))
+    out = []
+    for _ in range(count):
+        coeffs = draw(st.lists(st.integers(0, A.p - 1), min_size=A.size * A.m,
+                               max_size=A.size * A.m))
+        if draw(st.booleans()):
+            keep = draw(st.integers(0, A.size - 1))
+            coeffs = [c if i // A.m == keep else 0 for i, c in enumerate(coeffs)]
+        out.append(AlgebraElement(A, np.array(coeffs).reshape(A.size, A.m)))
+    return out
+
+
+def _schoolbook(u, v):
+    """u v one term at a time, from group_mult and FieldElt arithmetic."""
+    A = u.algebra
+    F, g = A.field, A.group
+
+    def elt(row):
+        return F.elt(int(row[0])) if A.m == 1 else F.elt([int(t) for t in row])
+
+    acc = [F.zero] * A.size
+    for a, ga in enumerate(A.elements):
+        for b, gb in enumerate(A.elements):
+            k = element_index(g, *group_mult(g, ga, gb))
+            acc[k] = acc[k] + elt(u.coeffs[a]) * elt(v.coeffs[b])
+    return np.array([c.key() for c in acc])
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_elements(PRODUCT_GROUPS, 2))
+def test_multiply_matches_schoolbook_product(uv):
+    u, v = uv
+    assert (multiply(u, v).coeffs == _schoolbook(u, v)).all()
+
+
+def _class_sums(A):
+    """Indicator vectors of the conjugacy classes, from group_mult alone."""
+    g, elems = A.group, A.elements
+    inverse = {a: b for a in elems for b in elems if group_mult(g, a, b) == (0, 0)}
+    seen, sums = set(), []
+    for a in elems:
+        if a in seen:
+            continue
+        cls = {group_mult(g, group_mult(g, h, a), inverse[h]) for h in elems}
+        seen |= cls
+        c = np.zeros((A.size, A.m), dtype=np.int64)
+        for i, j in cls:
+            c[element_index(g, i, j), 0] = 1
+        sums.append(AlgebraElement(A, c))
+    return sums
+
+
+def _commutes_with_basis(u):
+    A = u.algebra
+    return all(multiply(u, A.basis_element(k)) == multiply(A.basis_element(k), u)
+               for k in range(A.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_elements(PRODUCT_GROUPS, 1), st.data())
+def test_is_central_matches_commutation_with_the_basis(us, data):
+    u, = us
+    A = u.algebra
+    assert is_central(u) == _commutes_with_basis(u)
+    # a combination of class sums is central; adding a basis element keeps
+    # it central exactly when that group element is central
+    z = A.zero()
+    for cls in _class_sums(A):
+        c = [data.draw(st.integers(0, A.p - 1)) for _ in range(A.m)]
+        z = z + cls * A.scalar(A.field.elt(c[0] if A.m == 1 else c))
+    assert is_central(z) and _commutes_with_basis(z)
+    w = z + A.basis_element(data.draw(st.integers(0, A.size - 1)))
+    assert is_central(w) == _commutes_with_basis(w)
+
+
+def test_class_sums_are_central():
+    for g in PRODUCT_GROUPS:
+        A = algebra_for(g)
+        sums = _class_sums(A)
+        assert len(sums) == center_dimension(A)
+        for z in sums:
+            assert is_central(z) and _commutes_with_basis(z)
+
+
+# the largest prime with (p - 1)^2 < 2^63, the oracle's bound for m = 1;
+# |G| = 32 and 64 cover both associativity paths
+BIG_P = 3037000493
+BIG_P_GROUPS = [make_group(SPLIT, 16, 15, BIG_P), make_group(SPLIT, 32, 31, BIG_P)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_elements(BIG_P_GROUPS, 2))
+def test_multiply_is_exact_at_the_largest_admitted_prime(uv):
+    # every coefficient product is near 2^63, so summing two of them
+    # unreduced wraps int64: this pins multiply's reduction per entry
+    u, v = uv
+    A = u.algebra
+    expect = [0] * A.size
+    for a in range(A.size):
+        for b in range(A.size):
+            k = A.table[a, b]
+            expect[k] = (expect[k] + int(u.coeffs[a, 0]) * int(v.coeffs[b, 0])) % BIG_P
+    assert multiply(u, v).coeffs[:, 0].tolist() == expect
+
+
+def test_center_is_computed_once_per_algebra():
+    for g, dim, comps in ((D8, 5, 5), (Q8, 5, 5), (make_group(SPLIT, 5, 4, 3), 4, 3)):
+        A = GroupAlgebra(g, make_field(3, 1))
+        assert component_count(A) == comps
+        basis = center_basis(A)
+        assert center_basis(A) is basis
+        assert center_dimension(A) == len(basis) == dim
+        assert component_count(A) == comps
+        # a second algebra on the same group computes its own
+        assert center_basis(GroupAlgebra(g, make_field(3, 1))) is not basis
