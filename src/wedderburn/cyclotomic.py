@@ -16,6 +16,7 @@ factoring is involved, so the output ordering is reproducible bit for bit.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, tee
 from math import gcd
 
 from .fields import FieldElt, PrimeField, _pmul, _prime_factors, ext_field, \
@@ -82,7 +83,9 @@ def root_of_unity(E, N):
     reps: the candidates are the residues 0..p-1 over F_p and residue
     tuples of the base's reps over E = F[t]/(M), which come in
     E.elements() order, and powers are taken with E._pow, so the only
-    FieldElt built is the one returned.
+    FieldElt built is the one returned.  Over a prime base it tests only
+    the first w of each orbit {c*w : c in F_p*, c^exp = 1}, whose members
+    share one image (_orbit_leaders).
     """
     if N == 1:
         return E.one
@@ -91,13 +94,34 @@ def root_of_unity(E, N):
     exp = size // N
     checks = [N // r for r in _prime_factors(N)]
     one = E.one.rep
-    candidates = iter(range(E.char)) if isinstance(E, PrimeField) else residues(E.base, E.deg)
-    next(candidates)  # 0 comes first and has no order
+    if isinstance(E, PrimeField) or isinstance(E.base, PrimeField):
+        candidates = _orbit_leaders(E, gcd(exp, E.char - 1))  # c^exp = 1 iff c^gcd = 1
+    else:
+        candidates = residues(E.base, E.deg)
+        next(candidates)  # 0 comes first and has no order
     for w in candidates:
         z = E._pow(w, exp)
         if all(E._pow(z, c) != one for c in checks):
             return FieldElt(E, z)
     raise AssertionError("no primitive root found, impossible in a cyclic group")
+
+
+def _orbit_leaders(E, h):
+    """The nonzero reps w of E = F_p or F_p[t]/(M), in scan order, that come
+    first among their c*w, c in F_p* with c^h = 1: those whose first nonzero
+    digit d (which c*w holds as c*d) is the least residue with its d^h.  The
+    least residues are found lazily and once, up to the largest d reached
+    or until all (p - 1)/h values of d^h have turned up.
+    """
+    p, least = E.char, {}
+    leads = islice((d for d in range(1, p) if least.setdefault(pow(d, h, p), d) == d),
+                   (p - 1) // h)
+    if isinstance(E, PrimeField):
+        return leads
+    m = E.deg
+    return ((0,) * j + (d,) + rest
+            for j, ds in zip(range(m - 1, -1, -1), tee(leads, m))
+            for d in ds for rest in residues(E.base, m - 1 - j))
 
 
 @lru_cache(maxsize=None)

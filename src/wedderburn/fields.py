@@ -7,10 +7,12 @@ canonicalized, and no randomness is used anywhere.
 An element's rep is plain data: an int 0..p-1 over F_p, and over an
 extension a tuple of its base field's reps, so ints over a prime base and
 nested tuples for towers.  All arithmetic runs on reps, through the dense
-polynomial kernel at the bottom of this module; FieldElt is the public
-wrapper that pairs a rep with its field.
+polynomial kernel at the bottom of this module, which packs an F_p[t]/(M)
+coefficient into one int and calls the field's own operations only over
+towers.  FieldElt is the public wrapper that pairs a rep with its field.
 """
 
+import operator
 from functools import lru_cache
 from math import isqrt
 
@@ -302,8 +304,9 @@ class ExtField:
 # ---------------------------------------------------------------------------
 # the rep kernel: dense polynomials over a field F as lists of F's reps, low
 # coefficient first.  One multiply (_pmul) and one division (_pdivmod): over
-# F_p both run inline on ints with one % p per output coefficient, over an
-# extension through F's own _add/_mul/_neg.  Everything else (F[t]/(M)
+# F_p and F_p[t]/(M) both run on ints, each F_p[t]/(M) coefficient packed
+# into one (_packing), with one reduction per output coefficient; only over
+# a tower through F's own _add/_mul/_neg.  Everything else (F[t]/(M)
 # arithmetic, extension fields, Poly) is built on the two.
 
 
@@ -329,19 +332,25 @@ def _pmul(a, b, F):
     if not a or not b:
         return []
     lb = len(b)
-    if isinstance(F, PrimeField):
-        out = [0] * (len(a) + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+    prime = isinstance(F, PrimeField)
+    if not prime:
+        if not F._p:  # a tower
+            add, mul, zero = F._add, F._mul, F.zero.rep
+            out = [zero] * (len(a) + lb - 1)
+            for i, x in enumerate(a):
+                if x != zero:
+                    out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
+            return out
+        pack, unpack = _packing(F, min(len(a), lb))
+        a, b = list(map(pack, a)), list(map(pack, b))
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+    if prime:
         p = F.char
         return [c % p for c in out]
-    add, mul, zero = F._add, F._mul, F.zero.rep
-    out = [zero] * (len(a) + lb - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
-    return out
+    return list(map(unpack, out))
 
 
 def _pdivmod(a, b, F):
@@ -364,6 +373,17 @@ def _pdivmod(a, b, F):
     add, mul, neg, zero = F._add, F._mul, F._neg, F.zero.rep
     inv = None if b[-1] == F.one.rep else F._pow(b[-1], F.order - 2)
     q = [zero] * max(0, len(a) - n)
+    if F._p:
+        # an r entry is a digit of a plus at most n packed products
+        pack, unpack = _packing(F, n + 1)
+        r, b = list(map(pack, a)), list(map(pack, b[:n]))
+        for k in range(len(r) - 1, n - 1, -1):
+            c = unpack(r[k])
+            if c != zero:
+                q[k - n] = c = c if inv is None else mul(c, inv)
+                c = pack(neg(c))  # add -c: a borrow would cross slots
+                r[k - n:k] = [x + c * y for x, y in zip(r[k - n:k], b)]
+        return q, list(map(unpack, r[:n]))
     r = list(a)
     for k in range(len(r) - 1, n - 1, -1):
         if r[k] != zero:
@@ -371,6 +391,38 @@ def _pdivmod(a, b, F):
             c = neg(c)
             r[k - n:k] = [add(x, mul(c, y)) for x, y in zip(r[k - n:k], b)]
     return q, r[:n]
+
+
+@lru_cache(maxsize=None)
+def _packing(F, terms):
+    """Kronecker packing for F = F_p[t]/(M): (pack, unpack) for sums of at
+    most `terms` products.  pack lays a rep's m digits w bits apart in one
+    int; a product has 2m - 1 digits of at most m(p-1)^2, so with w bits for
+    `terms` of them and a digit < p no sum carries between slots.  unpack
+    folds each digit of t^k, k >= m, in by t^k mod M, and reduces mod p.
+    """
+    p, m = F._p, F.deg
+    w = (terms * m * (p - 1) ** 2 + p).bit_length()
+    powers = [1 << w * i for i in range(m)]
+    mask = (1 << w) - 1
+    folds = [_pdivmod([0] * k + [1], F._m, F.base)[1] for k in range(m, 2 * m - 1)]
+
+    def pack(c):
+        return sum(map(operator.mul, c, powers))
+
+    def unpack(x):
+        low = []
+        for _ in powers:
+            low.append(x & mask)
+            x >>= w
+        for fold in folds:
+            c = x & mask
+            x >>= w
+            if c:
+                low = [y + c * z for y, z in zip(low, fold)]
+        return tuple([y % p for y in low])
+
+    return pack, unpack
 
 
 def _padd(a, b, F):

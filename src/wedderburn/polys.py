@@ -3,8 +3,10 @@
 A Poly keeps a trimmed little-endian coefficient tuple of FieldElts; the
 zero polynomial has an empty tuple and degree -1.  All operations are
 exact.  Products and division with remainder run on the _p* rep kernel of
-wedderburn.fields: a Poly hands it its coefficients' reps and wraps each
-output coefficient once, so %, ext_gcd, powmod and the rest ride on it.
+wedderburn.fields (int loops over F_p and packed F_p[t]/(M), the field's
+own operations only over towers): a Poly hands it its coefficients' reps
+and wraps each output coefficient once, so %, ext_gcd, powmod and the rest
+ride on it.
 """
 
 from .fields import ExtField, FieldElt, _padd, _pdivmod, _pmul, _ptrim, is_irreducible_over

@@ -1,10 +1,15 @@
 """Command line front end: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wedderburn
 from wedderburn import battery, cli, oracle
 from wedderburn.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, EXIT_PANIC
 from wedderburn.groups import SNotInvolutive
@@ -130,6 +135,20 @@ def test_factor_over_a_large_prime(capsys):
     code, out, _ = run_cli(capsys, "factor", "--q", "1000000007", "--group", "split:n=2,s=1")
     assert code == EXIT_OK
     assert "x^2 - 1 over F_1000000007:" in out
+
+
+@pytest.mark.parametrize("command", ["factor", "decompose"])
+def test_q_1000003_split_n4_answers_within_20_s(command):
+    # in F_{p^2} = F_p[t]/(t^2 + 1) every c*t has the image -1 in the
+    # root-of-unity scan, which walked about p of them before it skipped
+    # orbits.  A child process, so the bound holds even if the scan hangs.
+    src = str(Path(wedderburn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from wedderburn.cli import main; sys.exit(main())",
+         command, "--q", "1000003", "--group", "split:n=4,s=3"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "1000003" in proc.stdout
 
 
 def test_even_characteristic_rejected(capsys):

@@ -4,8 +4,10 @@ and the 2-power field towers.
 
 from math import gcd
 
+import numpy as np
 import pytest
 
+from wedderburn.battery import battery_instances
 from wedderburn.cyclotomic import (
     BadCongruence,
     NotCoprimeNQ,
@@ -24,6 +26,7 @@ from wedderburn.cyclotomic import (
 )
 from wedderburn.fields import FieldElt, make_field, mul_order, ord_mod, padic_valuation, \
     split_prime_power
+from wedderburn.groups import SPLIT
 from wedderburn.polys import Poly, x_power_minus_one
 
 F3 = make_field(3, 1)
@@ -94,16 +97,58 @@ KERNEL_GRID = (
 )
 
 
+def _primes_dividing(N):
+    return [r for r in range(2, N + 1) if N % r == 0 and all(r % d for d in range(2, r))]
+
+
 def _scan_root(E, N):
-    """root_of_unity as a scan of E's FieldElts, kept as the reference."""
+    """root_of_unity as a plain scan of E's FieldElts, kept as the reference:
+    every nonzero element in order, none skipped.  z = w^((|E|-1)/N) has
+    z^N = 1, so its order is N unless z^(N/r) = 1 for a prime r | N."""
     if N == 1:
         return E.one
     for w in E.elements():
         if w.is_zero():
             continue
         z = w ** ((E.order - 1) // N)
-        if mul_order(z) == N:
+        if all(z ** (N // r) != E.one for r in _primes_dividing(N)):
             return z
+    raise AssertionError("no primitive root")
+
+
+def _plain_scan_quadratic(E, N, batch=1 << 16):
+    """The same plain scan over E = F_p[t]/(t^2 + m1*t + m0), in numpy: every
+    candidate k = 1, 2, ... is the element (k // p) + (k % p)*t, which is
+    E.elements() order, raised to (p^2 - 1)/N batch by batch with int64
+    arithmetic of its own.  p < 2^31, so no product overflows."""
+    p = E.char
+    m0, m1 = E.modulus[0].rep, E.modulus[1].rep
+
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        e = b * d % p  # t^2 = -m1*t - m0
+        return (a * c - e * m0) % p, (a * d % p + b * c - e * m1) % p
+
+    def power(x, k):
+        r = (np.ones_like(x[0]), np.zeros_like(x[0]))
+        while k:
+            if k & 1:
+                r = mul(r, x)
+            k >>= 1
+            if k:
+                x = mul(x, x)
+        return r
+
+    for start in range(1, p * p, batch):
+        k = np.arange(start, min(start + batch, p * p), dtype=np.int64)
+        z = power((k // p, k % p), (p * p - 1) // N)
+        exact = np.ones(len(k), dtype=bool)
+        for r in _primes_dividing(N):
+            a, b = power(z, N // r)
+            exact &= (a != 1) | (b != 0)
+        if exact.any():
+            i = int(np.argmax(exact))
+            return E.elt([int(z[0][i]), int(z[1][i])])
     raise AssertionError("no primitive root")
 
 
@@ -128,6 +173,28 @@ def test_rep_kernel_matches_the_element_scan(q, N):
     assert m == ord_mod(q, N)
     assert root_of_unity(E, N) == _scan_root(E, N)
     assert factor_xn_minus_1(F, N) == _coset_products(F, N)
+
+
+BATTERY_PAIRS = sorted({(q, n if kind == SPLIT else 2 * n)
+                        for kind, n, _, q in battery_instances()})
+
+
+@pytest.mark.parametrize("q,N", BATTERY_PAIRS, ids=lambda v: str(v))
+def test_orbit_skipping_scan_matches_the_plain_scan_on_the_battery(q, N):
+    E, _ = splitting_field(make_field(*split_prime_power(q)), N)
+    assert root_of_unity(E, N) == _scan_root(E, N)
+
+
+# N | p^2 - 1 but not p - 1, so E = F_{p^2} = F_p[t]/(t^2 + 1).  When
+# N | p + 1, every c*t has the image of t, so a plain scan walks about p
+# candidates; q = 1000003, N = 4 is the input that hung before the scan
+# skipped orbits.
+@pytest.mark.parametrize("p,N", [(10007, N) for N in (3, 4, 6, 8, 9, 12, 16, 18, 24, 36, 48, 72)]
+                         + [(1000003, N) for N in (4, 24, 89)], ids=lambda v: str(v))
+def test_orbit_skipping_scan_matches_a_plain_scan_over_f_p2(p, N):
+    E, m = splitting_field(make_field(p, 1), N)
+    assert m == 2 and [c.rep for c in E.modulus] == [1, 0, 1]
+    assert root_of_unity(E, N) == _plain_scan_quadratic(E, N)
 
 
 def test_splitting_field_and_root():

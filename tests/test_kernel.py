@@ -9,12 +9,18 @@ where no sympy reference applies, a product must equal the schoolbook sum
 of element products and division must satisfy a = q*b + r with
 deg r < deg b; the keys and reprs of a fixed list of tower elements are
 pinned.
+
+Over F_p[t]/(M) the kernel packs each coefficient into one int (Kronecker
+substitution), so its products and divisions are checked against a
+schoolbook built from the field's own _add and _mul at p in {3, 13,
+1000003} and m in {2, 3, 5}: long operands, every digit p - 1 (which
+fills a slot to its bound) and divisions of 50 quotient steps or more.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_div, gf_mul, gf_rem, gf_strip
+from sympy.polys.galoistools import gf_div, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from wedderburn.fields import (_pdivmod, _pmul, _ptrim, ext_field, first_irreducible,
                                make_field)
@@ -85,8 +91,8 @@ def test_ext_mul_matches_gf_rem_of_gf_mul(pm, data):
     assert _kernel(got, make_field(p, 1)) == want
 
 
-# polynomials over F_p[t]/(M) and over the tower take the kernel's generic
-# path, through the field's own operations
+# polynomials over F_p[t]/(M) run on the packed F_p loop, and over the
+# tower on the kernel's generic path, through the field's own operations
 EXT_FIELDS = {"F9": F9, "F25": make_field(5, 2), "F81/F9": TOWER}
 EXT_ELTS = {name: list(E.elements()) for name, E in EXT_FIELDS.items()}
 
@@ -121,6 +127,83 @@ def test_ext_division_identity(case):
     q, r = divmod(a, b)
     assert r.degree < b.degree
     assert q * b + r == a
+
+
+def _packed_field(p, m):
+    """F_p[t]/(M), with make_field's M except at p = 1000003, m = 5, where the
+    modulus search would walk all x^5 + c first: there M = t^5 + t + 11."""
+    if (p, m) != (1000003, 5):
+        return make_field(p, m)
+    M = (11, 1, 0, 0, 0, 1)
+    assert gf_irreducible_p(_sympy(M), p, ZZ)
+    F = make_field(p, 1)
+    return ext_field(F, tuple(F.elt(c) for c in M))
+
+
+PACKED = {(p, m): _packed_field(p, m) for p in (3, 13, 1000003) for m in (2, 3, 5)}
+
+
+def _schoolbook_mul(a, b, F):
+    out = [F.zero.rep] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F._add(out[i + j], F._mul(x, y))
+    return out
+
+
+def _schoolbook_divmod(a, b, F):
+    n, r = len(b) - 1, list(a)
+    inv = F._pow(b[-1], F.order - 2)
+    q = [F.zero.rep] * (len(a) - n)
+    for k in range(len(a) - 1, n - 1, -1):
+        q[k - n] = c = F._mul(r[k], inv)
+        for j, y in enumerate(b):
+            r[k - n + j] = F._add(r[k - n + j], F._neg(F._mul(c, y)))
+    assert all(x == F.zero.rep for x in r[n:])
+    return q, r[:n]
+
+
+@st.composite
+def packed_operands(draw):
+    """A field F_p[t]/(M), a of length 64..80 and b of length 2..14 with a
+    nonzero last entry; with every digit p - 1 half of the time."""
+    p, m = draw(st.sampled_from(sorted(PACKED)))
+    digit = st.just(p - 1) if draw(st.booleans()) else st.integers(0, p - 1)
+    rep = st.tuples(*[digit] * m)
+    a = draw(st.lists(rep, min_size=64, max_size=80))
+    b = draw(st.lists(rep, min_size=1, max_size=13))
+    b.append(draw(rep.filter(any)))
+    return PACKED[p, m], a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_operands())
+def test_packed_product_matches_the_schoolbook(case):
+    E, a, b = case
+    assert _pmul(a, b, E) == _schoolbook_mul(a, b, E)
+    assert _pmul(a, a, E) == _schoolbook_mul(a, a, E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_operands())
+def test_packed_division_matches_the_schoolbook(case):
+    E, a, b = case
+    q, r = _pdivmod(a, b, E)
+    assert len(q) >= 50
+    assert (q, r) == _schoolbook_divmod(a, b, E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tower_division_identity_on_long_operands(data):
+    elt = st.sampled_from(TOWER_ELTS)
+    a = Poly(TOWER, data.draw(st.lists(elt, min_size=20, max_size=30)))
+    b = Poly(TOWER, data.draw(st.lists(elt, min_size=1, max_size=8))
+             + [data.draw(st.sampled_from(TOWER_ELTS[1:]))])
+    q, r = divmod(a, b)
+    assert r.degree < b.degree
+    assert q * b + r == a
+    assert (a * b) // b == a and ((a * b) % b).is_zero()
 
 
 # key() and repr of TOWER elements, recorded before reps became tuples of
