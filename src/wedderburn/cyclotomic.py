@@ -9,8 +9,8 @@ Factors are found by walking q-cyclotomic cosets and multiplying out
 linear terms over a splitting field E = F_q[t]/(M), then mapping the
 (Frobenius-fixed) coefficients back down.  The root-of-unity scan and the
 coset products run on the field-rep kernel of wedderburn.fields: an element
-of E is a tuple of F_q's reps, and FieldElts are built only for the final
-F_q coefficients and for root_of_unity's return value.  No probabilistic
+of E is a tuple of F_q's reps, the factors are Polys built from F_q's reps,
+and the only FieldElt built is root_of_unity's return value.  No probabilistic
 factoring is involved, so the output ordering is reproducible bit for bit.
 """
 
@@ -154,10 +154,10 @@ def factor_xn_minus_1(field, N):
                 assert all(x == F.zero.rep for x in c[1:]), \
                     "factor coefficient has a nonzero extension part"
                 c = c[0]
-            coeffs.append(FieldElt(F, c))
-        g = Poly(F, coeffs)
+            coeffs.append(c)
+        g = Poly.from_reps(F, coeffs)
         assert g.degree == len(coset)
-        assert g.lead() == F.one
+        assert g.reps[-1] == F.one.rep
         pairs.append((coset, g))
     prod = Poly.one(F)
     for _, g in pairs:

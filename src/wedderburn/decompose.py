@@ -23,11 +23,12 @@ of the component depends on where f sits:
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 from typing import Optional
 
 from .cyclotomic import classify
-from .fields import (NoSquareRoot, ext_field, make_field, mul_order,
+from .fields import (FieldElt, NoSquareRoot, ext_field, make_field, mul_order,
                      padic_valuation, split_prime_power, sqrt_in_field)
 from .groups import SPLIT
 
@@ -100,24 +101,37 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers (1x1 and 2x2 over a FieldElt field)
+# small exact matrix helpers (1x1 and 2x2).  Matrices come and go as tuples
+# of FieldElt rows; mat_mul and mat_pow compute on the entries' reps through
+# the field's _add/_mul and wrap only the entries of the result.
+
+
+def _rep_mul(A, B, F):
+    add, mul, cols = F._add, F._mul, range(len(B[0]))
+    return [[reduce(add, [mul(a, B[k][j]) for k, a in enumerate(row)]) for j in cols]
+            for row in A]
+
+
+def _wrap(F, M):
+    return tuple(tuple(FieldElt(F, z) for z in row) for row in M)
 
 
 def mat_mul(A, B):
-    n = len(A)
-    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)),
-                           start=A[0][0].field.zero) for j in range(n))
-                 for i in range(n))
+    F = A[0][0].field
+    return _wrap(F, _rep_mul([[z.rep for z in row] for row in A],
+                             [[z.rep for z in row] for row in B], F))
 
 
 def mat_pow(A, e):
     assert e >= 1
+    F = A[0][0].field
+    A = [[z.rep for z in row] for row in A]
     out = A
     for bit in bin(e)[3:]:
-        out = mat_mul(out, out)
+        out = _rep_mul(out, out, F)
         if bit == "1":
-            out = mat_mul(out, A)
-    return out
+            out = _rep_mul(out, A, F)
+    return _wrap(F, out)
 
 
 def mat_identity(field, n):

@@ -9,7 +9,10 @@ extension a tuple of its base field's reps, so ints over a prime base and
 nested tuples for towers.  All arithmetic runs on reps, through the dense
 polynomial kernel at the bottom of this module, which packs an F_p[t]/(M)
 coefficient into one int and calls the field's own operations only over
-towers.  FieldElt is the public wrapper that pairs a rep with its field.
+towers.  FieldElt is the public wrapper only: it pairs a rep with its
+field for callers that read an element, and the library's own loops
+(Poly coefficients, the matrix helpers of wedderburn.decompose,
+Tonelli-Shanks) stay on reps and wrap only what they return.
 """
 
 import operator
@@ -310,8 +313,9 @@ class ExtField:
 # arithmetic, extension fields, Poly) is built on the two.
 
 
-def residues(F, m):
-    """Every tuple of m >= 1 reps of F, ascending as base-|F| numbers.
+def residues(F, m, start=0):
+    """Every tuple of m >= 1 reps of F, ascending as base-|F| numbers,
+    from the start-th on.
 
     The digits follow F's element order (the residues 0..p-1 over F_p),
     first entry most significant, so as residues of F[t]/(M) the tuples
@@ -319,7 +323,7 @@ def residues(F, m):
     up front.
     """
     digits = range(F.char) if isinstance(F, PrimeField) else [z.rep for z in F.elements()]
-    for k in range(len(digits) ** m):
+    for k in range(start, len(digits) ** m):
         w = [None] * m
         for i in range(m - 1, -1, -1):
             k, d = divmod(k, len(digits))
@@ -488,13 +492,36 @@ def first_irreducible(F, m):
     Returned as a tuple of F's elements, low coefficient first.  The
     coefficient vectors (c_{m-1}, ..., c_0) are enumerated as ascending
     base-|F| numbers whose digits follow F's element order: the residues
-    0..p-1 over a prime field, elements() over an extension.
+    0..p-1 over a prime field, elements() over an extension.  For m >= 2
+    the first |F| of them, the binomials x^m + c, are decided by
+    _binomial_test and skipped whole when none can be irreducible; Rabin's
+    test decides the rest.
     """
-    for top_down in residues(F, m):
-        coeffs = [*top_down[::-1], F.one.rep]
+    one, start = F.one.rep, 0
+    if m > 1:
+        start, irreducible = F.order, _binomial_test(F, m)
+        for (c,) in residues(F, 1) if irreducible else ():
+            if irreducible(c):
+                return (FieldElt(F, c),) + (F.zero,) * (m - 1) + (F.one,)
+    for top_down in residues(F, m, start):
+        coeffs = [*top_down[::-1], one]
         if is_irreducible_over(F, coeffs):
             return tuple(FieldElt(F, c) for c in coeffs)
     raise AssertionError("no irreducible polynomial found, impossible")
+
+
+def _binomial_test(F, m):
+    """For m >= 2, a predicate on the rep c telling whether x^m + c is
+    irreducible over F, or None when no binomial of degree m is.
+
+    x^m - a with a != 0 is irreducible iff every prime r | m divides
+    |F| - 1 with a^((|F|-1)/r) != 1, and |F| = 1 mod 4 when 4 | m
+    (Lidl-Niederreiter, Theorem 3.75).
+    """
+    q, zero, one, rs = F.order, F.zero.rep, F.one.rep, _prime_factors(m)
+    if any((q - 1) % r for r in rs) or (m % 4 == 0 and q % 4 != 1):
+        return None
+    return lambda c: c != zero and all(F._pow(F._neg(c), (q - 1) // r) != one for r in rs)
 
 
 @lru_cache(maxsize=None)
@@ -576,50 +603,53 @@ def sqrt_in_field(a):
     The returned root is always the lexicographically smaller of the two
     (by key() order), which is exactly what an ascending scan of the
     field's elements would find first.  Odd orders go through
-    Tonelli-Shanks and are then canonicalized.
+    Tonelli-Shanks on reps and are then canonicalized.
     """
     F = a.field
     if a.is_zero():
         return F.zero
     if F.char == 2:
         return a ** (F.order // 2)
-    if a ** ((F.order - 1) // 2) != F.one:
+    if F._pow(a.rep, (F.order - 1) // 2) != F.one.rep:
         raise NoSquareRoot(f"{a!r} is not a square")
-    r = _tonelli(a)
-    return min(r, -r, key=lambda z: z.key())
+    r = _tonelli(F, a.rep)
+    return FieldElt(F, min(r, F._neg(r), key=F._key))
 
 
 @lru_cache(maxsize=None)
 def _nonresidue(F):
-    """The first quadratic nonresidue of the odd-order field F in elements() order."""
-    half = (F.order - 1) // 2
-    for z in F.elements():
-        if not z.is_zero() and z ** half != F.one:
+    """The rep of the first quadratic nonresidue of the odd-order field F in
+    elements() order."""
+    half, one = (F.order - 1) // 2, F.one.rep
+    reps = range(F.char) if isinstance(F, PrimeField) else residues(F.base, F.deg)
+    for z in reps:
+        if z != F.zero.rep and F._pow(z, half) != one:
             return z
     raise AssertionError("no nonresidue in a field of odd order, impossible")
 
 
-def _tonelli(a):
-    """Tonelli-Shanks in any odd-order field, given that a is a square."""
-    F = a.field
+def _tonelli(F, a):
+    """Tonelli-Shanks on reps in any odd-order field F, given that the rep a
+    is a square; returns the rep of a square root."""
+    mul, one = F._mul, F.one.rep
     q1 = F.order - 1
     s = padic_valuation(q1, 2)
     t = q1 >> s
-    c = _nonresidue(F) ** t
-    x = a ** ((t + 1) // 2)
-    b = a ** t
+    c = F._pow(_nonresidue(F), t)
+    x = F._pow(a, (t + 1) // 2)
+    b = F._pow(a, t)
     m = s
-    while b != F.one:
+    while b != one:
         i = 0
         bb = b
-        while bb != F.one:
-            bb = bb * bb
+        while bb != one:
+            bb = mul(bb, bb)
             i += 1
             assert i < m, "Tonelli-Shanks loop escaped, nonsquare slipped through"
-        e = c ** (2 ** (m - i - 1))
-        x = x * e
-        b = b * e * e
-        c = e * e
+        e = F._pow(c, 2 ** (m - i - 1))
+        x = mul(x, e)
+        c = mul(e, e)
+        b = mul(b, c)
         m = i
-    assert x * x == a
+    assert mul(x, x) == a
     return x

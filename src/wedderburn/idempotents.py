@@ -103,9 +103,9 @@ def cyclic_idempotent(f, N):
     # The outer reversal must flip at degree deg(f) - 1 exactly.  The
     # derivative loses its leading term whenever the characteristic
     # divides deg(f), so pad it back out before reversing.
-    deriv = formal_derivative(reversed_coeffs(f))
-    padded = tuple(deriv.coeffs) + (F.zero,) * (f.degree - len(deriv.coeffs))
-    closed = scale * Poly(F, tuple(reversed(padded))) * h % full
+    deriv = formal_derivative(reversed_coeffs(f)).reps
+    padded = deriv + (F.zero.rep,) * (f.degree - len(deriv))
+    closed = scale * Poly.from_reps(F, padded[::-1]) * h % full
     g, _, v = ext_gcd(f, h)
     assert g.is_one()
     bezout = v * h % full

@@ -125,10 +125,11 @@ class GroupAlgebra:
         if P.degree >= N or Q.degree >= N:
             raise ValueError("coefficient polynomials must have degree < N")
         c = np.zeros((self.size, self.m), dtype=np.int64)
-        for i, coef in enumerate(P.coeffs):
-            c[element_index(self.group, i, 0)] = coef.key()
-        for i, coef in enumerate(Q.coeffs):
-            c[element_index(self.group, i, 1)] = coef.key()
+        key = self.field._key
+        for i, coef in enumerate(P.reps):
+            c[element_index(self.group, i, 0)] = key(coef)
+        for i, coef in enumerate(Q.reps):
+            c[element_index(self.group, i, 1)] = key(coef)
         return AlgebraElement(self, c)
 
 

@@ -1,12 +1,13 @@
 """Dense univariate polynomials over the exact fields of wedderburn.fields.
 
-A Poly keeps a trimmed little-endian coefficient tuple of FieldElts; the
-zero polynomial has an empty tuple and degree -1.  All operations are
-exact.  Products and division with remainder run on the _p* rep kernel of
-wedderburn.fields (int loops over F_p and packed F_p[t]/(M), the field's
-own operations only over towers): a Poly hands it its coefficients' reps
-and wraps each output coefficient once, so %, ext_gcd, powmod and the rest
-ride on it.
+A Poly keeps its coefficients as reps of its field: `reps` is a trimmed
+little-endian tuple of the field's element reps (ints over F_p, tuples
+over extensions), and the zero polynomial has an empty tuple and degree
+-1.  All operations are exact and run on the reps, products and division
+with remainder on the _p* kernel of wedderburn.fields (int loops over F_p
+and packed F_p[t]/(M), the field's own operations only over towers), so
+%, ext_gcd, powmod and the rest ride on it.  FieldElts are built only
+where a caller reads a coefficient: `coeffs`, `lead()` and `coeff(i)`.
 """
 
 from .fields import ExtField, FieldElt, _padd, _pdivmod, _pmul, _ptrim, is_irreducible_over
@@ -37,16 +38,14 @@ class BadS(ValueError):
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "reps")
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
         if not all(isinstance(c, FieldElt) and c.field is field for c in cs):
             raise FieldMismatch("coefficient from a different field")
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.reps = tuple(_ptrim([c.rep for c in cs], field))
 
     @classmethod
     def from_reps(cls, field, reps):
@@ -54,11 +53,13 @@ class Poly:
         an extension element's rep; reps are trusted, not checked."""
         self = cls.__new__(cls)
         self.field = field
-        self.coeffs = tuple([FieldElt(field, r) for r in _ptrim(reps, field)])
+        self.reps = tuple(_ptrim(reps, field))
         return self
 
-    def _reps(self):
-        return [c.rep for c in self.coeffs]
+    @property
+    def coeffs(self):
+        """The coefficients as FieldElts, low first, built on each read."""
+        return tuple([FieldElt(self.field, r) for r in self.reps])
 
     @classmethod
     def from_ints(cls, field, ints):
@@ -68,40 +69,41 @@ class Poly:
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls.from_reps(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls.from_reps(field, (field.one.rep,))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero, field.one))
+        return cls.from_reps(field, (field.zero.rep, field.one.rep))
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.reps) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.reps
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        return self.reps == (self.field.one.rep,)
 
     def lead(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElt(self.field, self.reps[-1])
 
     def monic(self):
-        if self.is_zero() or self.lead() == self.field.one:
+        F = self.field
+        if self.is_zero() or self.reps[-1] == F.one.rep:
             return self
-        inv = self.lead().inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        inv = F._pow(self.reps[-1], F.order - 2)
+        return Poly.from_reps(F, [F._mul(c, inv) for c in self.reps])
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.reps):
+            return FieldElt(self.field, self.reps[i])
         return self.field.zero
 
     def _check(self, other):
@@ -112,23 +114,24 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        return Poly.from_reps(self.field, _padd(self._reps(), other._reps(), self.field))
+        return Poly.from_reps(self.field, _padd(self.reps, other.reps, self.field))
 
     def __sub__(self, other):
         self._check(other)
         F = self.field
-        return Poly.from_reps(F, _padd(self._reps(), list(map(F._neg, other._reps())), F))
+        return Poly.from_reps(F, _padd(self.reps, list(map(F._neg, other.reps)), F))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly.from_reps(self.field, list(map(self.field._neg, self.reps)))
 
     def __mul__(self, other):
+        F = self.field
         if isinstance(other, FieldElt):
-            if other.field is not self.field:
+            if other.field is not F:
                 raise FieldMismatch("scalar from a different field")
-            return Poly(self.field, [c * other for c in self.coeffs])
+            return Poly.from_reps(F, [F._mul(c, other.rep) for c in self.reps])
         self._check(other)
-        return Poly.from_reps(self.field, _pmul(self._reps(), other._reps(), self.field))
+        return Poly.from_reps(F, _pmul(self.reps, other.reps, F))
 
     __rmul__ = __mul__
 
@@ -136,7 +139,7 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _pdivmod(self._reps(), other._reps(), self.field)
+        quo, rem = _pdivmod(self.reps, other.reps, self.field)
         return Poly.from_reps(self.field, quo), Poly.from_reps(self.field, rem)
 
     def __floordiv__(self, other):
@@ -169,17 +172,14 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.field is self.field
-                and other.coeffs == self.coeffs)
+                and other.reps == self.reps)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.reps))
 
     def key(self):
         """(degree, flattened coefficient digits): the canonical sort key."""
-        flat = ()
-        for c in self.coeffs:
-            flat += c.key()
-        return (self.degree, flat)
+        return (self.degree, sum(map(self.field._key, self.reps), ()))
 
     def __repr__(self):
         if self.is_zero():
@@ -253,7 +253,7 @@ def reversed_coeffs(f):
     """Plain coefficient reversal by f's own degree; no normalization."""
     if f.is_zero():
         return f
-    return Poly(f.field, tuple(reversed(f.coeffs)))
+    return Poly.from_reps(f.field, f.reps[::-1])
 
 
 def reciprocal(f):
@@ -261,21 +261,18 @@ def reciprocal(f):
 
     Requires f(0) != 0 so the degree is preserved.
     """
-    if f.is_zero() or f.coeffs[0].is_zero():
+    if f.is_zero() or f.reps[0] == f.field.zero.rep:
         raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
     return reversed_coeffs(f).monic()
 
 
 def formal_derivative(f):
-    if f.degree < 1:
-        return Poly.zero(f.field)
     F = f.field
-    out = []
-    for i in range(1, len(f.coeffs)):
-        kk = i % F.char
-        k = F.elt([kk]) if isinstance(F, ExtField) else F.elt(kk)
-        out.append(f.coeffs[i] * k)
-    return Poly(F, out)
+    one, k, out = F.one.rep, F.zero.rep, []
+    for c in f.reps[1:]:
+        k = F._add(k, one)  # i * 1 for the coefficient of x^i
+        out.append(F._mul(c, k))
+    return Poly.from_reps(F, out)
 
 
 def poly_order(f, cap=None):
@@ -288,7 +285,7 @@ def poly_order(f, cap=None):
     """
     if f.degree < 1:
         raise ValueError("order modulo a constant is undefined")
-    if f.coeffs[0].is_zero():
+    if f.reps[0] == f.field.zero.rep:
         raise ZeroConstantTerm("x is not invertible modulo f when f(0) = 0")
     if cap is None:
         cap = f.field.order ** f.degree - 1
@@ -322,10 +319,11 @@ def s_involution(f, s, n):
     if igcd(s, n) != 1:
         raise BadS(f"s = {s} is not invertible mod {n}")
     sinv = pow(s, -1, n)
-    out = [F.zero] * n
-    for i, c in enumerate(f.coeffs):
-        out[(i * sinv) % n] = out[(i * sinv) % n] + c
-    g = Poly(F, out)
+    out = [F.zero.rep] * n
+    for i, c in enumerate(f.reps):
+        j = i * sinv % n
+        out[j] = F._add(out[j], c)
+    g = Poly.from_reps(F, out)
     assert not g.is_zero(), "substitution killed the polynomial, impossible"
     d, _, _ = ext_gcd(xn1, g)
     assert d.degree == f.degree, "s-involution changed the degree"
@@ -336,4 +334,4 @@ def is_irreducible(f):
     """Rabin's irreducibility test over any finite coefficient field."""
     if f.degree < 1:
         return False
-    return is_irreducible_over(f.field, [c.rep for c in f.monic().coeffs])
+    return is_irreducible_over(f.field, f.monic().reps)

@@ -137,18 +137,32 @@ def test_factor_over_a_large_prime(capsys):
     assert "x^2 - 1 over F_1000000007:" in out
 
 
+def _answers_within_20_s(command, group):
+    """Run the CLI at q = 1000003 in a child process, so the bound holds even
+    if the call hangs."""
+    src = str(Path(wedderburn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from wedderburn.cli import main; sys.exit(main())",
+         command, "--q", "1000003", "--group", group],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "1000003" in proc.stdout
+
+
 @pytest.mark.parametrize("command", ["factor", "decompose"])
 def test_q_1000003_split_n4_answers_within_20_s(command):
     # in F_{p^2} = F_p[t]/(t^2 + 1) every c*t has the image -1 in the
     # root-of-unity scan, which walked about p of them before it skipped
-    # orbits.  A child process, so the bound holds even if the scan hangs.
-    src = str(Path(wedderburn.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from wedderburn.cli import main; sys.exit(main())",
-         command, "--q", "1000003", "--group", "split:n=4,s=3"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert "1000003" in proc.stdout
+    # orbits.
+    _answers_within_20_s(command, "split:n=4,s=3")
+
+
+@pytest.mark.parametrize("command", ["factor", "decompose"])
+def test_q_1000003_split_n11_answers_within_20_s(command):
+    # the splitting field has degree ord_11(1000003) = 5, and 5 does not
+    # divide p - 1, so no x^5 + c is irreducible: the modulus search walked
+    # all p of them, one Rabin test each, before it skipped the block.
+    _answers_within_20_s(command, "split:n=11,s=1")
 
 
 def test_even_characteristic_rejected(capsys):

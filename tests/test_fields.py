@@ -6,14 +6,17 @@ import pytest
 
 from wedderburn.fields import (
     DegreeZero,
+    FieldElt,
     NoSquareRoot,
     NonPrimeCharacteristic,
     NotCoprime,
     ZeroElement,
     ZeroInput,
     ext_field,
+    _binomial_test,
     first_irreducible,
     is_in_subfield,
+    is_irreducible_over,
     make_field,
     mul_order,
     ord_mod,
@@ -245,3 +248,45 @@ def test_element_equality_is_field_scoped():
     F1 = make_field(3, 1)
     F2 = make_field(5, 1)
     assert F1.one != F2.one
+
+
+# fields on which the binomial criterion of first_irreducible is checked
+# against Rabin's test: (field, largest degree m)
+BINOMIAL_FIELDS = ([(make_field(p, 1), 12) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                   + [(make_field(p, k), 6) for p, k in ((3, 2), (5, 2), (7, 2), (2, 3))])
+
+
+def _field_reps(F):
+    return [z.rep for z in F.elements()]
+
+
+def _binomial(F, m, c):
+    return [c] + [F.zero.rep] * (m - 1) + [F.one.rep]
+
+
+@pytest.mark.parametrize("F, top", BINOMIAL_FIELDS, ids=repr)
+def test_binomial_criterion_matches_rabin(F, top):
+    for m in range(2, top + 1):
+        test = _binomial_test(F, m)
+        for c in _field_reps(F):
+            want = is_irreducible_over(F, _binomial(F, m, c))
+            assert (test is not None and test(c)) == want, (m, c)
+
+
+def _rabin_scan(F, m):
+    """The first monic irreducible of degree m, candidates in first_irreducible's
+    order (c_{m-1}, ..., c_0 ascending in base |F|), each put to Rabin's test."""
+    reps = _field_reps(F)
+    for k in range(len(reps) ** m):
+        digits = []
+        for _ in range(m):
+            k, d = divmod(k, len(reps))
+            digits.append(reps[d])  # c_0 first
+        if is_irreducible_over(F, digits + [F.one.rep]):
+            return tuple(FieldElt(F, c) for c in digits + [F.one.rep])
+
+
+@pytest.mark.parametrize("F, top", BINOMIAL_FIELDS, ids=repr)
+def test_first_irreducible_matches_a_rabin_scan(F, top):
+    for m in range(1, top + 1):
+        assert first_irreducible(F, m) == _rabin_scan(F, m), m
