@@ -102,8 +102,9 @@ class Decomposition:
 
 # ---------------------------------------------------------------------------
 # small exact matrix helpers (1x1 and 2x2).  Matrices come and go as tuples
-# of FieldElt rows; mat_mul and mat_pow compute on the entries' reps through
-# the field's _add/_mul and wrap only the entries of the result.
+# of FieldElt rows; mat_mul and mat_pow unwrap the entries (all from one
+# field, as FieldElt arithmetic requires), compute on their reps through the
+# field's _add/_mul and wrap only the entries of the result.
 
 
 def _rep_mul(A, B, F):
@@ -112,20 +113,25 @@ def _rep_mul(A, B, F):
             for row in A]
 
 
+def _unwrap(F, M):
+    if any(z.field is not F for row in M for z in row):
+        raise TypeError("mixed-field arithmetic")
+    return [[z.rep for z in row] for row in M]
+
+
 def _wrap(F, M):
     return tuple(tuple(FieldElt(F, z) for z in row) for row in M)
 
 
 def mat_mul(A, B):
     F = A[0][0].field
-    return _wrap(F, _rep_mul([[z.rep for z in row] for row in A],
-                             [[z.rep for z in row] for row in B], F))
+    return _wrap(F, _rep_mul(_unwrap(F, A), _unwrap(F, B), F))
 
 
 def mat_pow(A, e):
     assert e >= 1
     F = A[0][0].field
-    A = [[z.rep for z in row] for row in A]
+    A = _unwrap(F, A)
     out = A
     for bit in bin(e)[3:]:
         out = _rep_mul(out, out, F)

@@ -492,36 +492,26 @@ def first_irreducible(F, m):
     Returned as a tuple of F's elements, low coefficient first.  The
     coefficient vectors (c_{m-1}, ..., c_0) are enumerated as ascending
     base-|F| numbers whose digits follow F's element order: the residues
-    0..p-1 over a prime field, elements() over an extension.  For m >= 2
-    the first |F| of them, the binomials x^m + c, are decided by
-    _binomial_test and skipped whole when none can be irreducible; Rabin's
-    test decides the rest.
+    0..p-1 over a prime field, elements() over an extension.  Rabin's test
+    decides each candidate.  For m >= 2 the first |F| of them are the
+    binomials x^m + c, skipped whole when _binomials_reducible(|F|, m).
     """
-    one, start = F.one.rep, 0
-    if m > 1:
-        start, irreducible = F.order, _binomial_test(F, m)
-        for (c,) in residues(F, 1) if irreducible else ():
-            if irreducible(c):
-                return (FieldElt(F, c),) + (F.zero,) * (m - 1) + (F.one,)
+    start = F.order if m > 1 and _binomials_reducible(F.order, m) else 0
     for top_down in residues(F, m, start):
-        coeffs = [*top_down[::-1], one]
+        coeffs = [*top_down[::-1], F.one.rep]
         if is_irreducible_over(F, coeffs):
             return tuple(FieldElt(F, c) for c in coeffs)
     raise AssertionError("no irreducible polynomial found, impossible")
 
 
-def _binomial_test(F, m):
-    """For m >= 2, a predicate on the rep c telling whether x^m + c is
-    irreducible over F, or None when no binomial of degree m is.
+def _binomials_reducible(q, m):
+    """True iff every binomial x^m + c of degree m >= 2 over F_q is reducible.
 
-    x^m - a with a != 0 is irreducible iff every prime r | m divides
-    |F| - 1 with a^((|F|-1)/r) != 1, and |F| = 1 mod 4 when 4 | m
-    (Lidl-Niederreiter, Theorem 3.75).
+    x^m - a with a != 0 is irreducible iff every prime r | m divides q - 1
+    with a^((q-1)/r) != 1, and q = 1 mod 4 when 4 | m (Lidl-Niederreiter,
+    Theorem 3.75); a generator a of F_q^* meets the power conditions.
     """
-    q, zero, one, rs = F.order, F.zero.rep, F.one.rep, _prime_factors(m)
-    if any((q - 1) % r for r in rs) or (m % 4 == 0 and q % 4 != 1):
-        return None
-    return lambda c: c != zero and all(F._pow(F._neg(c), (q - 1) // r) != one for r in rs)
+    return any((q - 1) % r for r in _prime_factors(m)) or (m % 4 == 0 and q % 4 != 1)
 
 
 @lru_cache(maxsize=None)
@@ -621,10 +611,9 @@ def _nonresidue(F):
     """The rep of the first quadratic nonresidue of the odd-order field F in
     elements() order."""
     half, one = (F.order - 1) // 2, F.one.rep
-    reps = range(F.char) if isinstance(F, PrimeField) else residues(F.base, F.deg)
-    for z in reps:
-        if z != F.zero.rep and F._pow(z, half) != one:
-            return z
+    for z in F.elements():
+        if not z.is_zero() and F._pow(z.rep, half) != one:
+            return z.rep
     raise AssertionError("no nonresidue in a field of odd order, impossible")
 
 

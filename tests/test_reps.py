@@ -112,6 +112,19 @@ def test_mat_mul_and_mat_pow_match_the_schoolbook(case, e):
     assert mat_pow(A, e) == want
 
 
+def test_mat_mul_and_mat_pow_refuse_mixed_fields():
+    # two quadratic extensions of F_5 with different moduli: same order, same
+    # reps, different fields
+    F5 = FIELDS["F5"]
+    K1, K2 = ext_field(F5, (F5.elt(2), F5.zero, F5.one)), ext_field(F5, (F5.elt(3), F5.zero, F5.one))
+    A = ((K1.one, K1.zero), (K1.zero, K1.one))
+    mixed = ((K1.one, K1.zero), (K2.zero, K1.one))
+    for op in (lambda: mat_mul(A, mixed), lambda: mat_mul(mixed, A),
+               lambda: mat_pow(mixed, 3), lambda: mat_mul(((K1.one,),), ((K2.one,),))):
+        with pytest.raises(TypeError):
+            op()
+
+
 SQRT_FIELDS = [make_field(p, 1) for p in (2, 3, 5, 7, 13, 17, 41)] + [
     make_field(2, 3), F9, make_field(5, 2), make_field(3, 3), make_field(7, 2),
     FIELDS["F81/F9"]]
