@@ -2,7 +2,11 @@
 
 Each digest is the SHA-256 of the full stdout of one `wedderburn ... --format
 json` call.  The instances reach every frame tag (psi+/psi-, quad, tau-pair,
-omega-pair, sigma-tau, eta-omega, theta-omega), both q mod 4 classes, three
+omega-pair, sigma-tau, eta-omega, theta-omega), both q mod 4 classes, every
+route to a non-central pair (the split-style closed form, the sqrt(-1) closed
+form for q = 1 mod 4, the xi^{n/2} closed form for q = 3 mod 4 with the
+2-part of n beyond q + 1, as at q = 3 and 11 on nonsplit:n=8,s=9, and
+interpolation in the eta and theta frames), three
 towers over F_9, two factor lattices of splitting degree 16, and the six
 factor lattices of splitting degree 8 to 22 that the benchmark's factor-deep
 workload runs.  The battery digest covers `wedderburn battery --format json`,
@@ -29,6 +33,7 @@ INSTANCES = (
     (3, "nonsplit:n=4,s=5"),
     (3, "nonsplit:n=5,s=9"),
     (3, "nonsplit:n=8,s=7"),
+    (3, "nonsplit:n=8,s=9"),
     (5, "split:n=4,s=3"),
     (5, "nonsplit:n=2,s=3"),
     (5, "nonsplit:n=3,s=5"),
@@ -46,6 +51,7 @@ INSTANCES = (
     (11, "split:n=5,s=4"),
     (11, "nonsplit:n=3,s=5"),
     (11, "nonsplit:n=6,s=7"),
+    (11, "nonsplit:n=8,s=9"),
     (11, "nonsplit:n=8,s=15"),
     (13, "split:n=3,s=2"),
     (13, "nonsplit:n=2,s=3"),
@@ -103,6 +109,8 @@ DIGESTS = {
         "06f530846338ba3219cfd375d798e2e5407a3de3532a17bb4b9dbea02493edeb",
     ('factor', 3, 'nonsplit:n=8,s=7'):
         "83ee260d8a65bb69fdd9d0730acd0aeb62ddd0d93aaa035452f5bb3ed93d80e2",
+    ('factor', 3, 'nonsplit:n=8,s=9'):
+        "9bb7c0e85d925f178a624f850b075d239a1d602988f5366d95c1917b5af45c7b",
     ('factor', 5, 'split:n=4,s=3'):
         "8adf523925aa01f0ec588aba54a04667c2733783a5a33d8614a186345f9ca6cb",
     ('factor', 5, 'nonsplit:n=2,s=3'):
@@ -137,6 +145,8 @@ DIGESTS = {
         "338260d64a1426cd917d95cc6ea0ed10b977fad784e3d2446ca93092cb74581d",
     ('factor', 11, 'nonsplit:n=6,s=7'):
         "56cc728936dab83b658d54b0a0f5ff4b9e963b4c71c590ddade8cdd1771ee591",
+    ('factor', 11, 'nonsplit:n=8,s=9'):
+        "43684d9fecc50e97de8e04c37e05b5400c3368e991aac17240d10c7a6fa48e83",
     ('factor', 11, 'nonsplit:n=8,s=15'):
         "c9554ea91b5491f992d3e00f9254c3f43fb1ab69c9e7bd7dfd39b7e1d5c16689",
     ('factor', 13, 'split:n=3,s=2'):
@@ -163,6 +173,8 @@ DIGESTS = {
         "2ab9e3d9c075202a91646ade0250a23e0fc9c4018e2c14e3e30eec5565dac7f8",
     ('decompose', 3, 'nonsplit:n=8,s=7'):
         "d2f081530373bf5afee5a46d9c8de75a3b48a5023e063b9123d7feb1ced33f39",
+    ('decompose', 3, 'nonsplit:n=8,s=9'):
+        "e91e4b05c8a4232ff431a7ba74c6dcc8ccf53dc5abbd65c4b752ae0de41b8e90",
     ('decompose', 5, 'split:n=4,s=3'):
         "1ad6ec98425e1d6fb9c733aa201438c2fb707073ec13bc89d981ebcd07b09a09",
     ('decompose', 5, 'nonsplit:n=2,s=3'):
@@ -197,6 +209,8 @@ DIGESTS = {
         "127965b00e58d69bee0fcde7e3e955654ac6300f1089d73c7ebdd363e5eb13fc",
     ('decompose', 11, 'nonsplit:n=6,s=7'):
         "22f811470865f898156630948f76056836c590364d77c2d5788e86cc402ca0c2",
+    ('decompose', 11, 'nonsplit:n=8,s=9'):
+        "0ec34d9e764b94371306ae80e34741fbcb715185912d01692bc560e6fe0c55a0",
     ('decompose', 11, 'nonsplit:n=8,s=15'):
         "fef935de376f1780df883a54e270ba2c473336546161f199cf2144d2632707e2",
     ('decompose', 13, 'split:n=3,s=2'):
@@ -223,6 +237,8 @@ DIGESTS = {
         "9d86545086d38b0f4ee30581a28075a8e4d56d2152812dfd5d84780296a4d1ab",
     ('idempotents', 3, 'nonsplit:n=8,s=7'):
         "68c7fbb2ecf02e497d793abc9b5917f593317d72a2fee8e1178977ea83ff45c9",
+    ('idempotents', 3, 'nonsplit:n=8,s=9'):
+        "d78071170ca6547bad1e280d237427a9cb30a6e925c025919b814a550be6dc1a",
     ('idempotents', 5, 'split:n=4,s=3'):
         "e1e981f74acf1fd29327ab8bf9ff3826e02bd5a4860e43a09736b1edf3e65740",
     ('idempotents', 5, 'nonsplit:n=2,s=3'):
@@ -257,6 +273,8 @@ DIGESTS = {
         "faadd581787644c3dea86ca8d473db9ff75bde5a27b091724fbf29ff003161a2",
     ('idempotents', 11, 'nonsplit:n=6,s=7'):
         "b9e316ed38f779b2c8942bb58d7b1835e06d5ba9397e5d3773b44fefdc826ac3",
+    ('idempotents', 11, 'nonsplit:n=8,s=9'):
+        "12dd6117ca069e97ef94b0bd556211db7f3242982ff64532e89c31c7dac0fceb",
     ('idempotents', 11, 'nonsplit:n=8,s=15'):
         "76af655f72dd218ee19a3c30ca0b5e6b4ef850dce7cc8bd23254b3d8ff540d35",
     ('idempotents', 13, 'split:n=3,s=2'):
