@@ -18,9 +18,10 @@ from math import gcd, lcm
 from . import oracle
 from .cyclotomic import classify
 from .decompose import SELF_INVOLUTIVE, component_matrices_check, decompose
-from .fields import ord_mod, padic_valuation
+from .fields import ord_mod
 from .groups import NONSPLIT, SPLIT, OrderNotCoprime, make_group
-from .idempotents import complete_idempotent_set, noncentral_via_interpolation
+from .idempotents import (by_interpolation, complete_idempotent_set,
+                          noncentral_via_interpolation)
 
 DEFAULT_QS = (3, 5, 7, 9, 11, 13)
 DEFAULT_MAX_N = 24
@@ -114,24 +115,11 @@ def perlis_walker_degrees(g):
 def component_case_tag(g, comp):
     """Frame name plus the congruence classes that selected it."""
     src = comp.source
-    if src.kind != SELF_INVOLUTIVE or g.n % src.root_order == 0:
+    if src.kind != SELF_INVOLUTIVE or src.frame == "sigma-tau":
         return src.frame
     if g.q % 4 == 1:
         return f"{src.frame} (q=1 mod 4)"
     return f"{src.frame} (q=3 mod 4, s={g.s % 4} mod 4)"
-
-
-def _closed_form_applies(g, fac):
-    """Whether the produced splitting came from a closed form, in which
-    case interpolating the matrix unit is an independent cross-check.
-    Mirrors the dispatch in idempotents.noncentral_nonsplit."""
-    if g.kind == SPLIT or g.n % fac.root_order == 0:
-        return True
-    if g.q % 4 == 1:
-        return True
-    if padic_valuation(g.n, 2) <= padic_valuation(g.q + 1, 2):
-        return False  # interpolation is already the construction of record
-    return g.s % 4 == 1
 
 
 @dataclass(frozen=True)
@@ -264,7 +252,7 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
             assert not oracle.is_central(e1) and not oracle.is_central(e2)
             fac = report.factors[comp.source.position]
             if (cross_check and comp.source.kind == SELF_INVOLUTIVE
-                    and _closed_form_applies(g, fac)):
+                    and not by_interpolation(g, fac)):
                 other = noncentral_via_interpolation(g, comp.source.position)
                 assert set(other) == {e1, e2}, \
                     f"interpolation disagrees with the closed form at {fac.poly!r}"

@@ -40,7 +40,6 @@ class RunConfig:
     n: int = 0
     s: int = 0
     include_noncentral: bool = False
-    crt_fallback: bool = False
     cross_check: bool = True
     seed: int = 0
     max_n: int = 0
@@ -74,7 +73,8 @@ def build_parser():
                                "with the non-central splittings")
     idem.add_argument("--include-noncentral", action="store_true")
     idem.add_argument("--crt-fallback", action="store_true",
-                      help="allow CRT interpolation where no closed form applies")
+                      help="accepted and ignored: every 2x2 component already "
+                           "splits by a closed form or by interpolation")
 
     ver = sub.add_parser("verify", parents=[instance],
                          help="grade one instance against the oracle")
@@ -119,8 +119,6 @@ def config_from_args(args):
     extra = {}
     if args.command in ("idempotents", "verify"):
         extra["include_noncentral"] = args.include_noncentral
-    if args.command == "idempotents":
-        extra["crt_fallback"] = args.crt_fallback
     if args.command == "verify":
         extra["cross_check"] = args.cross_check
         extra["seed"] = args.seed
@@ -189,7 +187,6 @@ def run_idempotents(config):
     notes = []
     ids = complete_idempotent_set(g, dec,
                                   include_noncentral=config.include_noncentral,
-                                  crt_fallback=config.crt_fallback,
                                   notes=notes)
     if config.fmt == "json":
         payload = ids.to_json()
@@ -250,8 +247,7 @@ def _exit_code_for(exc):
     if isinstance(exc, (AssertionError, oracle.GroupMismatch,
                         oracle.InconsistentPrescription)):
         return EXIT_PANIC
-    if isinstance(exc, (ValueError, TypeError, ArithmeticError,
-                        NotImplementedError)):
+    if isinstance(exc, (ValueError, TypeError, ArithmeticError)):
         return EXIT_INVALID
     return EXIT_PANIC
 

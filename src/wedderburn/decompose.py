@@ -16,10 +16,13 @@ of the component depends on where f sits:
                                into two one-dimensional components when
                                xi^n is a square in K_f, otherwise one
                                component over the quadratic extension
-  f self-involutive, l not | d one 2x2 component over the half field,
-                               via the sigma/eta/theta conjugation frame
-  f in a swapped pair          one 2x2 component over K_f, generators
-                               diagonal and antidiagonal
+  f self-involutive, l not | d one 2x2 component over the half field:
+                               the plain images conjugated by frame()
+  f in a swapped pair          one 2x2 component over K_f: the plain images
+
+The plain images are x -> diag(xi, xi^s), y -> [[0, xi^n], [1, 0]].  The
+one function frame() decides the sigma/eta/theta case split and returns
+the conjugating matrix W; the idempotent constructions read the same W.
 """
 
 from dataclasses import dataclass
@@ -146,18 +149,12 @@ def mat_identity(field, n):
 
 
 def mat_inv(A):
-    F = A[0][0].field
     if len(A) == 1:
         return ((A[0][0].inverse(),),)
     (a, b), (c, d) = A
     det = a * d - b * c
     di = det.inverse()
     return ((d * di, -b * di), (-c * di, a * di))
-
-
-def conjugate(Z, M):
-    """Z^{-1} M Z."""
-    return mat_mul(mat_mul(mat_inv(Z), M), Z)
 
 
 def component_matrices_check(component, g):
@@ -232,63 +229,25 @@ def _abelian_nonsplit(g, pos, fac, F):
     return [_checked(comp, g)]
 
 
-def _pair_component(g, pos, fac, F):
-    """M_2(K_f) for a swapped pair {f, f*}: x diagonal, y antidiagonal."""
-    K = ext_field(F, fac.poly.coeffs)
+def _plain_images(g, K):
+    """x -> diag(xi, xi^s), y -> [[0, xi^n], [1, 0]] over K = F_q(xi)."""
     xi = K.gen
-    eps = xi ** g.n          # 1 on the x^n - 1 side, -1 on the x^n + 1 side
-    X = ((xi, K.zero), (K.zero, xi ** g.s))
-    Y = ((K.zero, eps), (K.one, K.zero))
-    tag = "tau-pair" if eps == K.one else "omega-pair"
+    return ((xi, K.zero), (K.zero, xi ** g.s)), ((K.zero, xi ** g.n), (K.one, K.zero))
+
+
+def _pair_component(g, pos, fac, F):
+    """M_2(K_f) for a swapped pair {f, f*}: the plain images, x diagonal
+    and y antidiagonal."""
+    K = ext_field(F, fac.poly.coeffs)
+    X, Y = _plain_images(g, K)
+    tag = "tau-pair" if Y[0][1] == K.one else "omega-pair"
     src = ComponentSource(PAIR, pos, fac.partner, fac.root_order, tag)
     return [_checked(WedderburnComponent(2, fac.degree, 1, src, X, Y), g)]
 
 
-def _self_involutive_split_style(g, pos, fac, F):
-    """The 2x2 component for a self-involutive f with xi^n = 1.
-
-    Conjugates x -> diag(xi, xi^s), y -> antidiagonal by
-    Z = [[1, -xi], [1, -xi^s]] and asserts the entries drop into the
-    half field.
-    """
-    K = ext_field(F, fac.poly.coeffs)
-    xi = K.gen
-    xis = xi ** g.s
-    assert xi ** g.n == K.one
-    X0 = ((xi, K.zero), (K.zero, xis))
-    Y0 = ((K.zero, K.one), (K.one, K.zero))
-    Z = ((K.one, -xi), (K.one, -xis))
-    X, Y = conjugate(Z, X0), conjugate(Z, Y0)
-    # the closed forms these must match
-    assert X == ((K.zero, xi ** (g.s + 1)), (-K.one, xi + xis))
-    assert Y == ((K.one, -(xi + xis)), (K.zero, -K.one))
-    src = ComponentSource(SELF_INVOLUTIVE, pos, None, fac.root_order, "sigma-tau")
-    return [_checked(WedderburnComponent(
-        2, fac.degree // 2, 1, src, X, Y), g)]
-
-
-def _self_involutive_eta(g, pos, fac, F):
-    """The 2x2 component for self-involutive f | x^n + 1 when sqrt(-1)
-    lives in the half field (q = 1 mod 4, or 4 | deg f)."""
-    K = ext_field(F, fac.poly.coeffs)
-    xi = K.gen
-    xis = xi ** g.s
-    beta = sqrt_in_field(-K.one)
-    m = fac.degree // 2
-    assert beta ** (g.q ** m) == beta, "sqrt(-1) missed the half field"
-    X0 = ((xi, K.zero), (K.zero, xis))
-    Y0 = ((K.zero, -K.one), (K.one, K.zero))
-    Z = ((-xis, beta), (beta * xi, K.one))
-    X, Y = conjugate(Z, X0), conjugate(Z, Y0)
-    assert Y == ((-beta, K.zero), (-(xi + xis), beta))
-    assert X == ((K.zero, beta), (beta * xi ** (g.s + 1), xi + xis))
-    src = ComponentSource(SELF_INVOLUTIVE, pos, None, fac.root_order, "eta-omega")
-    return [_checked(WedderburnComponent(2, m, 1, src, X, Y), g)]
-
-
 def theta_frame_scale(g, fac, F):
-    """The ratio r = b/a of the conjugation Z = [[a, b], [-xi a, -xi^s b]]
-    used on the x^n + 1 side when q = 3 mod 4 and deg(f)/2 is odd.
+    """The ratio r = b/a of the theta frame's Z = [[a, b], [-xi a, -xi^s b]]
+    on the x^n + 1 side when q = 3 mod 4 and deg(f)/2 is odd.
 
     Entries of the conjugated matrices land in the half field exactly
     when r has norm -1 there, so r is built to have norm -1: take
@@ -316,31 +275,53 @@ def theta_frame_scale(g, fac, F):
     return r
 
 
-def _self_involutive_theta(g, pos, fac, F):
-    """The 2x2 component for self-involutive f | x^n + 1 when sqrt(-1)
-    does not reach the half field (q = 3 mod 4, deg(f)/2 odd)."""
+def frame(g, fac, beta=None):
+    """(tag, W) for the 2x2 component of a self-involutive factor f away
+    from x^d - 1: the component is u -> W^{-1} u W on the plain images.
+
+      sigma-tau    xi^n = 1 (every split-kind factor): W = [[1, -xi], [1, -xi^s]]
+      eta-omega    xi^n = -1 and sqrt(-1) in the half field (q = 1 mod 4, or
+                   4 | deg f): W = [[-xi^s, beta], [beta xi, 1]] with beta^2 = -1,
+                   the canonical square root unless beta is given
+      theta-omega  otherwise: W = Z^{-1}, Z = [[1, r], [-xi, -xi^s r]] with
+                   r from theta_frame_scale
+    """
+    F = fac.poly.field
     K = ext_field(F, fac.poly.coeffs)
     xi = K.gen
     xis = xi ** g.s
-    r = theta_frame_scale(g, fac, F)
-    X0 = ((xi, K.zero), (K.zero, xis))
-    Y0 = ((K.zero, -K.one), (K.one, K.zero))
-    Z = ((K.one, r), (-xi, -xis * r))
-    # this frame conjugates on the other side: Z M Z^{-1}
-    Zi = mat_inv(Z)
-    X = mat_mul(mat_mul(Z, X0), Zi)
-    Y = mat_mul(mat_mul(Z, Y0), Zi)
-    src = ComponentSource(SELF_INVOLUTIVE, pos, None, fac.root_order, "theta-omega")
-    return [_checked(WedderburnComponent(2, fac.degree // 2, 1, src, X, Y), g)]
-
-
-def _self_involutive_nonsplit(g, pos, fac, F):
     if g.n % fac.root_order == 0:
-        # xi^n = 1: same machinery as the split kind
-        return _self_involutive_split_style(g, pos, fac, F)
+        return "sigma-tau", ((K.one, -xi), (K.one, -xis))
     if g.q % 4 == 1 or fac.degree % 4 == 0:
-        return _self_involutive_eta(g, pos, fac, F)
-    return _self_involutive_theta(g, pos, fac, F)
+        if beta is None:
+            beta = sqrt_in_field(-K.one)
+        assert beta * beta == -K.one
+        assert beta ** (g.q ** (fac.degree // 2)) == beta, "sqrt(-1) missed the half field"
+        return "eta-omega", ((-xis, beta), (beta * xi, K.one))
+    r = theta_frame_scale(g, fac, F)
+    return "theta-omega", mat_inv(((K.one, r), (-xi, -xis * r)))
+
+
+def _self_involutive(g, pos, fac, F):
+    """M_2 over the half field for a self-involutive f away from x^d - 1:
+    the plain images conjugated into the factor's frame, with the entries
+    asserted to drop into the half field by _checked."""
+    K = ext_field(F, fac.poly.coeffs)
+    xi = K.gen
+    xis = xi ** g.s
+    tag, W = frame(g, fac)
+    Wi = mat_inv(W)
+    X, Y = (mat_mul(mat_mul(Wi, M), W) for M in _plain_images(g, K))
+    # the closed forms these must match
+    if tag == "sigma-tau":
+        assert X == ((K.zero, xi ** (g.s + 1)), (-K.one, xi + xis))
+        assert Y == ((K.one, -(xi + xis)), (K.zero, -K.one))
+    elif tag == "eta-omega":
+        beta = W[0][1]
+        assert X == ((K.zero, beta), (beta * xi ** (g.s + 1), xi + xis))
+        assert Y == ((-beta, K.zero), (-(xi + xis), beta))
+    src = ComponentSource(SELF_INVOLUTIVE, pos, None, fac.root_order, tag)
+    return [_checked(WedderburnComponent(2, fac.degree // 2, 1, src, X, Y), g)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +329,7 @@ def _self_involutive_nonsplit(g, pos, fac, F):
 
 def decompose(g):
     """The simple components of F_qG; the per-factor constructions follow g.kind."""
-    if g.kind == SPLIT:
-        per_abelian, per_self_involutive = _abelian_split, _self_involutive_split_style
-    else:
-        per_abelian, per_self_involutive = _abelian_nonsplit, _self_involutive_nonsplit
+    per_abelian = _abelian_split if g.kind == SPLIT else _abelian_nonsplit
     p, a = split_prime_power(g.q)
     F = make_field(p, a)
     report = classify(F, g.N, g.s)
@@ -360,7 +338,7 @@ def decompose(g):
         if fac.divides_x_d_minus_1:
             comps.extend(per_abelian(g, pos, fac, F))
         elif fac.self_involutive:
-            comps.extend(per_self_involutive(g, pos, fac, F))
+            comps.extend(_self_involutive(g, pos, fac, F))
         elif fac.partner > pos:
             comps.extend(_pair_component(g, pos, fac, F))
     dec = Decomposition(g, report, tuple(comps))

@@ -18,8 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .cyclotomic import classify
-from .decompose import (ABELIAN_PART, PAIR, conjugate, mat_inv, mat_mul,
-                        theta_frame_scale)
+from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul
 from .fields import ext_field, padic_valuation, sqrt_in_field
 from .groups import NONSPLIT, SPLIT
 from .oracle import (algebra_for, are_orthogonal, interpolate_idempotent,
@@ -38,10 +37,6 @@ class NotIrreducibleFactor(ValueError):
 
 class PreconditionFactor(ValueError):
     pass
-
-
-class CaseUnavailable(NotImplementedError):
-    """The q = 3 mod 4, big 2-part, s = 3 mod 4 subcase has no closed form."""
 
 
 @dataclass(frozen=True)
@@ -239,31 +234,13 @@ def _one_plus_by_pair(g, report, pos, beta_poly):
     return e1, e2
 
 
-def _frame_for_factor(g, fac, F):
-    """(Z, side) for the factor's 2x2 conjugation frame.
-
-    side "left" means the representation is u -> Z^{-1} u Z, "right"
-    means u -> Z u Z^{-1}.  The frame matches what decompose used, with
-    one pin: on the eta branch with q = 3 mod 4 the scalar with square
-    -1 is taken to be xi^{n/2} itself, which is the convention the
-    closed-form idempotent corresponds to.
-    """
-    K = ext_field(F, fac.poly.coeffs)
-    xi = K.gen
-    xis = xi ** g.s
-    if g.n % fac.root_order == 0:
-        return ((K.one, -xi), (K.one, -xis)), "left"
-    if g.q % 4 == 1 or fac.degree % 4 == 0:
-        if (g.q % 4 == 3
-                and padic_valuation(g.n, 2) > padic_valuation(g.q + 1, 2)):
-            beta = xi ** (g.n // 2)
-        else:
-            beta = sqrt_in_field(-K.one)
-        assert beta * beta == -K.one
-        assert beta ** (g.q ** (fac.degree // 2)) == beta
-        return ((-xis, beta), (beta * xi, K.one)), "left"
-    r = theta_frame_scale(g, fac, F)
-    return ((K.one, r), (-xi, -xis * r)), "right"
+def by_interpolation(g, fac):
+    """Whether the non-central pair under this self-involutive factor is
+    built by interpolation rather than a closed form: the x^n + 1 side
+    with q = 3 mod 4 and the 2-part of n inside that of q + 1.  The one
+    route predicate; everywhere else interpolation is a cross-check."""
+    return (g.n % fac.root_order != 0 and g.q % 4 == 3
+            and padic_valuation(g.n, 2) <= padic_valuation(g.q + 1, 2))
 
 
 def noncentral_via_interpolation(g, position):
@@ -271,8 +248,11 @@ def noncentral_via_interpolation(g, position):
     the matrix unit E11 through the component's conjugation frame.
 
     Works for every self-involutive 2x2 component of either kind; this
-    is the construction of record where no closed form exists, and the
-    cross-check everywhere else.
+    is the construction of record where by_interpolation holds, and the
+    cross-check everywhere else.  The frame is decompose's, with one pin:
+    where the x^{n/2} closed form applies (x^n + 1 side, q = 3 mod 4, not
+    by interpolation) the eta frame's square root of -1 is xi^{n/2}
+    itself, the convention that closed form corresponds to.
     """
     A = algebra_for(g)
     F = A.field
@@ -281,10 +261,12 @@ def noncentral_via_interpolation(g, position):
     if fac.divides_x_d_minus_1 or not fac.self_involutive:
         raise PreconditionFactor("no 2x2 component at this position")
     K = ext_field(F, fac.poly.coeffs)
+    beta = None
+    if g.n % fac.root_order and g.q % 4 == 3 and not by_interpolation(g, fac):
+        beta = K.gen ** (g.n // 2)
+    _, W = frame(g, fac, beta)
     E11 = ((K.one, K.zero), (K.zero, K.zero))
-    Z, side = _frame_for_factor(g, fac, F)
-    M = mat_mul(mat_mul(Z, E11), mat_inv(Z)) if side == "left" \
-        else conjugate(Z, E11)
+    M = mat_mul(mat_mul(W, E11), mat_inv(W))
     e1 = interpolate_idempotent(A, {position: ("matrix", M)}, report)
     e_f = _factor_idempotent(g, position)
     e2 = e_f - e1
@@ -318,16 +300,16 @@ def _case3_printed_check(g, report, pos, e1, e2, notes):
         notes.append(f"printed third-case form is not an idempotent ({tag})")
 
 
-def noncentral_nonsplit(f, g, allow_interpolation=False, notes=None):
+def noncentral_nonsplit(f, g, notes=None):
     """The non-central orthogonal pair under a self-involutive factor of
     x^n + 1, nonsplit kind.
 
-    Closed forms exist when q = 1 mod 4 (scalar with square -1 in F_q)
-    and when q = 3 mod 4 with a big 2-part of n and s = 1 mod 4 (scalar
-    x^{n/2}).  When the 2-part of n fits inside q + 1 the pair is built
-    by interpolation in the theta frame and the printed closed form is
-    only reported on, via notes.  The remaining subcase has no formula:
-    CaseUnavailable, unless allow_interpolation is set.
+    Where by_interpolation holds (q = 3 mod 4, 2-part of n inside q + 1)
+    the pair is built by interpolation and the printed closed form is
+    only reported on, via notes.  Otherwise a closed form applies: the
+    scalar with square -1 in F_q when q = 1 mod 4, and x^{n/2} when
+    q = 3 mod 4.  Every case is covered: a 2-part of n beyond q + 1
+    forces 4 | deg f, hence s = q^{deg/2} = 1 mod 4, which that form needs.
     """
     assert g.kind == NONSPLIT
     A = algebra_for(g)
@@ -339,22 +321,17 @@ def noncentral_nonsplit(f, g, allow_interpolation=False, notes=None):
             or g.n % fac.root_order == 0):
         raise PreconditionFactor(
             f"{f!r} is not a self-involutive factor on the x^n + 1 side")
-    if g.q % 4 == 1:
-        beta = sqrt_in_field(-F.one)
-        return _one_plus_by_pair(g, report, pos, Poly(F, (beta,)))
-    if padic_valuation(g.n, 2) <= padic_valuation(g.q + 1, 2):
+    if by_interpolation(g, fac):
         e1, e2 = noncentral_via_interpolation(g, pos)
         if notes is not None:
             _case3_printed_check(g, report, pos, e1, e2, notes)
         return e1, e2
-    if g.s % 4 == 1:
-        return _one_plus_by_pair(g, report, pos,
-                                 powmod(Poly.x(F), g.n // 2, x_power_minus_one(F, g.N)))
-    if allow_interpolation:
-        return noncentral_via_interpolation(g, pos)
-    raise CaseUnavailable(
-        "no closed form for q = 3 mod 4 with 2-part of n exceeding q + 1 "
-        "and s = 3 mod 4; pass allow_interpolation=True for the CRT route")
+    if g.q % 4 == 1:
+        beta = sqrt_in_field(-F.one)
+        return _one_plus_by_pair(g, report, pos, Poly(F, (beta,)))
+    assert g.s % 4 == 1, "a 2-part of n beyond q + 1 forces s = 1 mod 4"
+    return _one_plus_by_pair(g, report, pos,
+                             powmod(Poly.x(F), g.n // 2, x_power_minus_one(F, g.N)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +339,13 @@ def noncentral_nonsplit(f, g, allow_interpolation=False, notes=None):
 
 
 def complete_idempotent_set(g, decomposition, include_noncentral=False,
-                            crt_fallback=False, notes=None):
+                            notes=None):
     """Central primitive idempotents, optionally with every 2x2
     component split into its non-central orthogonal pair.
 
     Pair components split as (e_f, e_f*) for the two paired factors; the
-    self-involutive ones go through the closed forms or the
-    interpolation fallback as appropriate.
+    self-involutive ones go through the split-style closed form in the
+    sigma-tau frame and through noncentral_nonsplit otherwise.
     """
     entries = list(_central_entries(g, decomposition))
     if include_noncentral:
@@ -383,12 +360,10 @@ def complete_idempotent_set(g, decomposition, include_noncentral=False,
                         _factor_idempotent(g, comp.source.partner))
                 A = algebra_for(g)
                 _verify_pair(A, entries[i].element, *pair)
-            elif g.kind == SPLIT or g.n % comp.source.root_order == 0:
+            elif comp.source.frame == "sigma-tau":
                 pair = _split_style_pair(g, report, pos)
             else:
-                pair = noncentral_nonsplit(report.factors[pos].poly, g,
-                                           allow_interpolation=crt_fallback,
-                                           notes=notes)
+                pair = noncentral_nonsplit(report.factors[pos].poly, g, notes=notes)
             entries.append(IdempotentEntry(f"{parent}/1", pair[0], NONCENTRAL, parent))
             entries.append(IdempotentEntry(f"{parent}/2", pair[1], NONCENTRAL, parent))
     return IdempotentSet(g, tuple(entries))

@@ -460,16 +460,11 @@ def interpolate_idempotent(algebra, targets, report=None):
             m11, m12 = _as_ext_elt(K, m11), _as_ext_elt(K, m12)
             m21, m22 = _as_ext_elt(K, m21), _as_ext_elt(K, m22)
             # sigma: xi -> xi^s is Frobenius to the half-degree power
-            e = F.order ** (fac.degree // 2) if fac.degree % 2 == 0 else F.order ** 0
-            if fac.divides_x_d_minus_1:
-                e = 1  # xi^s = xi, sigma is the identity
-
-            def sigma(a):
-                return a ** e if e > 1 else a
-
+            # (identity on x^d - 1, where xi^s = xi and deg f may be odd)
+            e = 1 if fac.divides_x_d_minus_1 else F.order ** (fac.degree // 2)
             # base frame y-image is [[0, eps], [1, 0]] with eps = xi^n
             q_val = -m12 if g.n % fac.root_order else m12
-            if sigma(m11) != m22 or sigma(q_val) != m21:
+            if m11 ** e != m22 or q_val ** e != m21:
                 raise InconsistentPrescription(
                     "matrix entries are not Galois-consistent for this factor")
             put(pos, m11, q_val)

@@ -67,6 +67,26 @@ def test_idempotents_text_shows_noncentral_split(capsys):
     assert "z4/1 [non-central-primitive parent=z4] = (1 + 2*x^2) + (1 + 2*x^2)*y" in out
 
 
+# one instance per route to a non-central pair: split-style, sqrt(-1) for
+# q = 1 mod 4, x^{n/2} for a big 2-part, interpolation in the eta frame and
+# in the theta frame
+@pytest.mark.parametrize("q,group", [
+    (3, "split:n=4,s=3"),
+    (5, "nonsplit:n=4,s=5"),
+    (3, "nonsplit:n=8,s=9"),
+    (3, "nonsplit:n=5,s=9"),
+    (3, "nonsplit:n=2,s=3"),
+])
+def test_crt_fallback_flag_is_accepted_and_ignored(capsys, q, group):
+    argv = ["idempotents", "--q", str(q), "--group", group,
+            "--include-noncentral", "--format", "json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, flagged, _ = run_cli(capsys, *argv, "--crt-fallback")
+    assert code == EXIT_OK
+    assert flagged == plain
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q", "3", "--group", "nonsplit:n=2,s=3")
     assert code == EXIT_OK

@@ -22,6 +22,9 @@ import json
 import pytest
 
 from wedderburn import cli
+from wedderburn.decompose import SELF_INVOLUTIVE, decompose
+from wedderburn.groups import make_group, parse_group
+from wedderburn.idempotents import by_interpolation
 
 INSTANCES = (
     (3, "split:n=1,s=1"),
@@ -315,3 +318,26 @@ def test_cli_json_digest(capsys, case):
 def test_battery_json_digest(battery_result):
     text = json.dumps(battery_result.to_json(), indent=2, sort_keys=True) + "\n"
     assert _sha256(text) == BATTERY_DIGEST
+
+
+def _route(g, fac, frame):
+    if by_interpolation(g, fac):
+        return f"{frame} by interpolation"
+    if frame == "eta-omega":
+        return "eta-omega, sqrt(-1) in F_q" if g.q % 4 == 1 else "eta-omega, xi^{n/2}"
+    return frame
+
+
+def test_corpus_reaches_every_route():
+    """Every route to a 2x2 self-involutive component's non-central pair has
+    a digest, so a corpus edit cannot drop one silently."""
+    routes = set()
+    for q, grp in INSTANCES:
+        g = make_group(*parse_group(grp), q)
+        dec = decompose(g)
+        for comp in dec.components:
+            if comp.source.kind == SELF_INVOLUTIVE:
+                fac = dec.report.factors[comp.source.position]
+                routes.add(_route(g, fac, comp.source.frame))
+    assert routes == {"sigma-tau", "eta-omega, sqrt(-1) in F_q", "eta-omega, xi^{n/2}",
+                      "eta-omega by interpolation", "theta-omega by interpolation"}

@@ -2,17 +2,18 @@
 orthogonal splittings, checked against the brute-force algebra.
 """
 
+from math import gcd
+
 import pytest
 
 from wedderburn import oracle
-from wedderburn.cyclotomic import classify, factor_xn_minus_1
+from wedderburn.cyclotomic import classify, cyclotomic_cosets, factor_xn_minus_1
 from wedderburn.decompose import decompose
 from wedderburn.fields import make_field, padic_valuation, split_prime_power
 from wedderburn.groups import NONSPLIT, SPLIT, make_group
 from wedderburn.idempotents import (
     CENTRAL,
     NONCENTRAL,
-    CaseUnavailable,
     NotIrreducibleFactor,
     PreconditionFactor,
     central_idempotents,
@@ -218,7 +219,6 @@ def test_missing_case_is_vacuous_in_battery_range(battery_keys):
     # the subcase with no closed form (q = 3 mod 4, v2(n) > v2(q+1),
     # s = 3 mod 4 on an x^n+1-side factor) never occurs: such factors
     # force 4 | deg, which forces s = q^{deg/2} = 1 mod 4
-    assert issubclass(CaseUnavailable, NotImplementedError)
     hits = 0
     for kind, n, s, q in battery_keys:
         if kind != NONSPLIT or q % 4 != 3:
@@ -233,6 +233,27 @@ def test_missing_case_is_vacuous_in_battery_range(battery_keys):
                 hits += 1
                 assert g.s % 4 == 1, (kind, n, s, q)
     assert hits > 0
+    # the same on integers alone, well past the battery: the root zeta^a
+    # of a coset C mod N = 2n lies on the x^n + 1 side iff a is odd, away
+    # from x^d - 1 iff a*s != a mod N, and is self-involutive iff s*C = C
+    groups = factors = 0
+    for q in (3, 7, 11, 19, 23, 27, 31, 43, 47, 59):
+        for n in range(1, 129):
+            N = 2 * n
+            if gcd(q, N) != 1 or padic_valuation(n, 2) <= padic_valuation(q + 1, 2):
+                continue
+            cosets = cyclotomic_cosets(N, q)
+            for s in range(1, N):
+                if s * s % N != 1 or gcd(s, N) != 1:
+                    continue
+                groups += 1
+                for C in cosets:
+                    a = C[0]
+                    if a % 2 == 0 or a * s % N == a or sorted(b * s % N for b in C) != list(C):
+                        continue
+                    factors += 1
+                    assert len(C) % 4 == 0 and s % 4 == 1, (q, n, s, C)
+    assert groups > 0 and factors > 0
 
 
 def test_complete_set_d8():
@@ -256,13 +277,6 @@ def test_complete_set_counts_follow_two_by_two_components():
         twos = sum(1 for c in D.components if c.l == 2)
         assert len(ids.noncentrals()) == 2 * twos
         assert len(ids.centrals()) == D.component_count
-
-
-def test_complete_set_crt_fallback_flag_is_stable():
-    D = decompose(D8)
-    a = complete_idempotent_set(D8, D, include_noncentral=True)
-    b = complete_idempotent_set(D8, D, include_noncentral=True, crt_fallback=True)
-    assert [e.element for e in a.entries] == [e.element for e in b.entries]
 
 
 def test_idempotent_json_shapes():
