@@ -7,12 +7,13 @@ canonicalized, and no randomness is used anywhere.
 An element's rep is plain data: an int 0..p-1 over F_p, and over an
 extension a tuple of its base field's reps, so ints over a prime base and
 nested tuples for towers.  All arithmetic runs on reps, through the dense
-polynomial kernel at the bottom of this module, which packs an F_p[t]/(M)
-coefficient into one int and calls the field's own operations only over
-towers.  FieldElt is the public wrapper only: it pairs a rep with its
-field for callers that read an element, and the library's own loops
-(Poly coefficients, the matrix helpers of wedderburn.decompose,
-Tonelli-Shanks) stay on reps and wrap only what they return.
+polynomial kernel at the bottom of this module: over F_p and F_p[t]/(M) a
+product is one multiply of ints packed by Kronecker substitution, and the
+field's own operations run only over towers.  FieldElt is the public
+wrapper only: it pairs a rep with its field for callers that read an
+element, and the library's own loops (Poly coefficients, the matrix
+helpers of wedderburn.decompose, Tonelli-Shanks) stay on reps and wrap
+only what they return.
 """
 
 import operator
@@ -233,9 +234,11 @@ class ExtField:
         self.char = base.char
         self.order = base.order ** self.deg
         self.degree = base.degree * self.deg
-        self._m = [c.rep for c in self.modulus]
+        self._m = tuple(c.rep for c in self.modulus)
         # p over a prime base, for inline arithmetic on int reps
         self._p = base.char if isinstance(base, PrimeField) else 0
+        if self._p:
+            _, self._pack, self._unpack, self._packed_mul = _packing(self._p, self._m, 1)
         zero, one = base.zero.rep, base.one.rep
         self.zero = FieldElt(self, (zero,) * self.deg)
         self.one = FieldElt(self, (one,) + (zero,) * (self.deg - 1))
@@ -271,10 +274,14 @@ class ExtField:
         return tuple([-x % p for x in a] if p else map(self.base._neg, a))
 
     def _mul(self, a, b):
-        return tuple(_pmulmod(a, b, self._m, self.base))
+        if self._p:
+            return self._unpack(self._pack(a) * self._pack(b))
+        return tuple(_pdivmod(_pmul(a, b, self.base), self._m, self.base)[1])
 
     def _pow(self, a, k):
-        return tuple(_ppowmod(a, k, self._m, self.base))
+        if self._p:
+            return self._unpack(_power(self._pack(a), k, 1, self._packed_mul))
+        return _power(a, k, self.one.rep, self._mul)
 
     def _key(self, a):
         return a if self._p else sum(map(self.base._key, a), ())
@@ -306,11 +313,12 @@ class ExtField:
 
 # ---------------------------------------------------------------------------
 # the rep kernel: dense polynomials over a field F as lists of F's reps, low
-# coefficient first.  One multiply (_pmul) and one division (_pdivmod): over
-# F_p and F_p[t]/(M) both run on ints, each F_p[t]/(M) coefficient packed
-# into one (_packing), with one reduction per output coefficient; only over
-# a tower through F's own _add/_mul/_neg.  Everything else (F[t]/(M)
-# arithmetic, extension fields, Poly) is built on the two.
+# coefficient first.  One multiply (_pmul), one division (_pdivmod) and one
+# square and multiply (_power).  Over F_p and F_p[t]/(M) a product is one
+# multiply of packed ints; ExtField products and Rabin's powers mod a fixed
+# M over F_p fold back by _packing's table of t^k mod M, and a division takes
+# one step per quotient coefficient.  Only over a tower do they run through
+# F's own _add/_mul/_neg.
 
 
 def residues(F, m, start=0):
@@ -332,29 +340,41 @@ def residues(F, m, start=0):
 
 
 def _pmul(a, b, F):
-    """The product of a and b, of length len(a) + len(b) - 1 ([] if either is [])."""
+    """The product of a and b, of length len(a) + len(b) - 1 ([] if either is []).
+
+    Over F_p and F_p[t]/(M), one multiply of the operands packed into ints
+    with coefficient i in slot i, unpacked by mask and shift; a slot is w
+    bits over F_p, 2m - 1 of _packing's slots over F_p[t]/(M).
+    """
     if not a or not b:
         return []
-    lb = len(b)
-    prime = isinstance(F, PrimeField)
-    if not prime:
-        if not F._p:  # a tower
-            add, mul, zero = F._add, F._mul, F.zero.rep
-            out = [zero] * (len(a) + lb - 1)
-            for i, x in enumerate(a):
-                if x != zero:
-                    out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
-            return out
-        pack, unpack = _packing(F, min(len(a), lb))
-        a, b = list(map(pack, a)), list(map(pack, b))
-    out = [0] * (len(a) + lb - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
-    if prime:
+    n, terms = len(a) + len(b) - 1, min(len(a), len(b))
+    if isinstance(F, PrimeField):
         p = F.char
-        return [c % p for c in out]
-    return list(map(unpack, out))
+        w = (terms * (p - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        x = _kron(a, w) * _kron(b, w)
+        return [(x >> i & mask) % p for i in range(0, n * w, w)]
+    if F._p:
+        w, pack, unpack, _ = _packing(F._p, F._m, terms)
+        w *= 2 * F.deg - 1
+        mask = (1 << w) - 1
+        x = _kron(list(map(pack, a)), w) * _kron(list(map(pack, b)), w)
+        return [unpack(x >> i & mask) for i in range(0, n * w, w)]
+    lb, add, mul, zero = len(b), F._add, F._mul, F.zero.rep  # a tower
+    out = [zero] * n
+    for i, x in enumerate(a):
+        if x != zero:
+            out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
+    return out
+
+
+def _kron(cs, w):
+    """The int with cs[i] at bit i*w: cs packed into one int, w bits a slot."""
+    x = 0
+    for c in reversed(cs):
+        x = x << w | c
+    return x
 
 
 def _pdivmod(a, b, F):
@@ -379,7 +399,7 @@ def _pdivmod(a, b, F):
     q = [zero] * max(0, len(a) - n)
     if F._p:
         # an r entry is a digit of a plus at most n packed products
-        pack, unpack = _packing(F, n + 1)
+        _, pack, unpack, _ = _packing(F._p, F._m, n + 1)
         r, b = list(map(pack, a)), list(map(pack, b[:n]))
         for k in range(len(r) - 1, n - 1, -1):
             c = unpack(r[k])
@@ -398,35 +418,42 @@ def _pdivmod(a, b, F):
 
 
 @lru_cache(maxsize=None)
-def _packing(F, terms):
-    """Kronecker packing for F = F_p[t]/(M): (pack, unpack) for sums of at
-    most `terms` products.  pack lays a rep's m digits w bits apart in one
-    int; a product has 2m - 1 digits of at most m(p-1)^2, so with w bits for
-    `terms` of them and a digit < p no sum carries between slots.  unpack
-    folds each digit of t^k, k >= m, in by t^k mod M, and reduces mod p.
+def _packing(p, M, terms):
+    """Kronecker packing for F_p[t]/(M), keyed on p and the monic M (m + 1
+    ints, low first): (w, pack, unpack, mul) for sums of `terms` products.
+
+    pack lays a rep's m digits w bits apart in one int.  A product has
+    2m - 1 slots, so a sum of `terms` of them at most terms*m(p-1)^2 a slot.
+    unpack keeps the m low slots and adds c*fold_k for each higher slot k,
+    with c that slot mod p and fold_k = t^k mod M (m <= k <= 2m - 2) packed
+    into one int: at most (m-1)(p-1)^2 more a slot.  w holds both, so no
+    slot carries, and unpack reduces each low slot mod p.  Rabin's test
+    calls the uncached function, one table per candidate M, and keeps none.
     """
-    p, m = F._p, F.deg
-    w = (terms * m * (p - 1) ** 2 + p).bit_length()
-    powers = [1 << w * i for i in range(m)]
-    mask = (1 << w) - 1
-    folds = [_pdivmod([0] * k + [1], F._m, F.base)[1] for k in range(m, 2 * m - 1)]
+    m = len(M) - 1
+    w = ((terms * m + m - 1) * (p - 1) ** 2).bit_length()
+    mask, low, shifts = (1 << w) - 1, (1 << m * w) - 1, range(0, m * w, w)
 
     def pack(c):
-        return sum(map(operator.mul, c, powers))
+        return sum(map(operator.lshift, c, shifts))
+
+    folds, r = [], [0] * (m - 1) + [1]
+    for _ in range(m - 1):  # r = t^(k-1) mod M -> t^k mod M = t*r - r[-1]*M
+        r = [(x - r[-1] * y) % p for x, y in zip([0, *r[:-1]], M)]
+        folds.append(pack(r))
 
     def unpack(x):
-        low = []
-        for _ in powers:
-            low.append(x & mask)
-            x >>= w
+        y = x & low
+        x >>= m * w
         for fold in folds:
-            c = x & mask
+            y += (x & mask) % p * fold
             x >>= w
-            if c:
-                low = [y + c * z for y, z in zip(low, fold)]
-        return tuple([y % p for y in low])
+        return tuple([(y >> s & mask) % p for s in shifts])
 
-    return pack, unpack
+    def mul(x, y):  # on packed elements, for a run of products
+        return pack(unpack(x * y))
+
+    return w, pack, unpack, mul
 
 
 def _padd(a, b, F):
@@ -436,19 +463,15 @@ def _padd(a, b, F):
     return [*map(F._add, a, b), *a[len(b):]]
 
 
-def _pmulmod(a, b, f, F):
-    """a * b mod the monic f of degree n >= 1; a and b have length n."""
-    return _pdivmod(_pmul(a, b, F), f, F)[1]
-
-
-def _ppowmod(a, e, f, F):
-    r = [F.one.rep] + [F.zero.rep] * (len(f) - 2)
+def _power(a, e, one, mul):
+    """a^e for e >= 0 by square and multiply, with the product mul."""
+    r = one
     while e:
         if e & 1:
-            r = _pmulmod(r, a, f, F)
+            r = mul(r, a)
         e >>= 1
         if e:
-            a = _pmulmod(a, a, f, F)
+            a = mul(a, a)
     return r
 
 
@@ -471,15 +494,28 @@ def is_irreducible_over(F, f):
     """Rabin's irreducibility test for the monic f over the field F.
 
     f is a list of F's element reps, low coefficient first, of degree >= 1.
+    Over F_p the powers x^(p^k) mod f are packed products.
     """
     m = len(f) - 1
     if m == 1:
         return True
-    x = [F.zero.rep, F.one.rep] + [F.zero.rep] * (m - 2)
-    if _ppowmod(x, F.order ** m, f, F) != x:
+    zero, one = F.zero.rep, F.one.rep
+    x = (zero, one) + (zero,) * (m - 2)
+    if isinstance(F, PrimeField):
+        _, pack, unpack, mul = _packing.__wrapped__(F.char, tuple(f), 1)
+    else:  # plain reps, each product reduced by a division
+        pack = unpack = tuple
+
+        def mul(u, v):
+            return tuple(_pdivmod(_pmul(u, v, F), f, F)[1])
+
+    def power(e):
+        return unpack(_power(pack(x), e, pack((one,) + (zero,) * (m - 1)), mul))
+
+    if power(F.order ** m) != x:
         return False
     for r in _prime_factors(m):
-        h = _ppowmod(x, F.order ** (m // r), f, F)
+        h = power(F.order ** (m // r))
         diff = [F._add(c, F._neg(xc)) for c, xc in zip(h, x)]
         if len(_pgcd(diff, f, F)) != 1:
             return False

@@ -54,10 +54,10 @@ class IdempotentEntry:
             vec = self.element.coeffs[k]
             if vec.any():
                 coeffs.append({"power_of_x": i, "has_y": bool(j),
-                               "value": [int(t) for t in vec]})
+                               "value": vec.tolist()})
         return {"label": self.label, "kind": self.kind, "parent": self.parent,
                 "coeffs": coeffs,
-                "flat": [[int(t) for t in v] for v in self.element.coeffs]}
+                "flat": self.element.coeffs.tolist()}
 
 
 @dataclass(frozen=True)

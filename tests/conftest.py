@@ -2,8 +2,8 @@
 
 The expensive piece is the full verification battery (every valid
 (kind, n <= 24, s, q) instance checked against the brute-force oracle).
-It takes a few minutes, so it runs once per session and every test that
-wants battery-wide evidence reads the same result object.
+It takes about 35 s on two cores, so it runs once per session and every
+test that wants battery-wide evidence reads the same result object.
 """
 
 import pytest

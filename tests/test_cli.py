@@ -157,16 +157,16 @@ def test_factor_over_a_large_prime(capsys):
     assert "x^2 - 1 over F_1000000007:" in out
 
 
-def _answers_within_20_s(command, group):
-    """Run the CLI at q = 1000003 in a child process, so the bound holds even
-    if the call hangs."""
+def _answers_within_20_s(command, group, q=1000003):
+    """Run the CLI in a child process, so the bound holds even if the call
+    hangs."""
     src = str(Path(wedderburn.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from wedderburn.cli import main; sys.exit(main())",
-         command, "--q", "1000003", "--group", group],
+         command, "--q", str(q), "--group", group],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert "1000003" in proc.stdout
+    assert proc.stdout.startswith(f"group {group}  q={q}  ")
 
 
 @pytest.mark.parametrize("command", ["factor", "decompose"])
@@ -183,6 +183,15 @@ def test_q_1000003_split_n11_answers_within_20_s(command):
     # divide p - 1, so no x^5 + c is irreducible: the modulus search walked
     # all p of them, one Rabin test each, before it skipped the block.
     _answers_within_20_s(command, "split:n=11,s=1")
+
+
+@pytest.mark.parametrize("command", ["factor", "decompose"])
+def test_q_3_split_n1000_answers_within_20_s(command):
+    # the splitting field has degree ord_1000(3) = 100: the modulus search
+    # runs Rabin's test on hundreds of degree-100 candidates, and the coset
+    # products of x^1000 - 1 run over F_3[t]/(M) with m = 100.  Both took
+    # minutes when every product was a row loop and a division.
+    _answers_within_20_s(command, "split:n=1000,s=999", q=3)
 
 
 def test_even_characteristic_rejected(capsys):

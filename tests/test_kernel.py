@@ -2,28 +2,36 @@
 
 sympy shares no code with the library: its gf_* functions take dense lists
 of ints mod p, highest coefficient first, where the kernel takes lists of
-reps lowest first.  Over F_p the kernel's multiply and division loops must
-agree with gf_mul and gf_div; an extension's product must agree with
-gf_rem(gf_mul(a, b), M).  Over F_9, F_25 and the F_81 tower on F_9,
-where no sympy reference applies, a product must equal the schoolbook sum
-of element products and division must satisfy a = q*b + r with
+reps lowest first.  Over F_p the kernel's packed multiply and its division
+loop must agree with gf_mul and gf_div, and Rabin's test with
+gf_irreducible_p on random monic polynomials, on products of two and on
+irreducible ones, of degree <= 12.  An F_p[t]/(M) element's product and
+power must agree with gf_rem(gf_mul(a, b), M) and gf_pow_mod at p in {2,
+3, 13, 1000003} and m in {1, 2, 5, 12}, for a random monic M: these
+products fold the high slots back by a table of t^k mod M, and with every
+digit p - 1 half of the time they fill a slot to its bound, so a slot width
+short of the fold term fails them.  Over F_9, F_25 and the F_81 tower on
+F_9, where no sympy reference applies, a product must equal the schoolbook
+sum of element products and division must satisfy a = q*b + r with
 deg r < deg b; the keys and reprs of a fixed list of tower elements are
 pinned.
 
-Over F_p[t]/(M) the kernel packs each coefficient into one int (Kronecker
-substitution), so its products and divisions are checked against a
-schoolbook built from the field's own _add and _mul at p in {3, 13,
-1000003} and m in {2, 3, 5}: long operands, every digit p - 1 (which
-fills a slot to its bound) and divisions of 50 quotient steps or more.
+Over F_p[t]/(M) a polynomial product packs its coefficients into one int
+(Kronecker substitution), each coefficient itself packed, so products and
+divisions are checked against a schoolbook built from the field's own _add
+and _mul at p in {3, 13, 1000003} and m in {2, 3, 5}: long operands, every
+digit p - 1 (which fills a slot to its bound) and divisions of 50 quotient
+steps or more.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_div, gf_irreducible_p, gf_mul, gf_rem, gf_strip
+from sympy.polys.galoistools import (gf_div, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem,
+                                     gf_strip)
 
-from wedderburn.fields import (_pdivmod, _pmul, _ptrim, ext_field, first_irreducible,
-                               make_field)
+from wedderburn.fields import (ExtField, _pdivmod, _pmul, _ptrim, ext_field, first_irreducible,
+                               is_irreducible_over, make_field)
 from wedderburn.polys import Poly
 
 PRIMES = (2, 3, 5, 13, 1000003)
@@ -76,22 +84,84 @@ def test_pdivmod_matches_gf_div(case):
     assert (_kernel(q, F), _kernel(r, F)) == (want_q, want_r)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([(3, 2), (5, 2)]), st.data())
-def test_ext_mul_matches_gf_rem_of_gf_mul(pm, data):
-    p, m = pm
-    E = make_field(p, m)
+@st.composite
+def modulus_and_reps(draw):
+    """F_p[t]/(M) for a monic M of degree m drawn at random, and two reps:
+    with every digit p - 1 half of the time, which fills a product's slots
+    to their bound.  A product or a power mod M needs no irreducible M, and
+    m = 1 is the degree-1 field of a linear factor."""
+    p = draw(st.sampled_from((2, 3, 13, 1000003)))
+    m = draw(st.sampled_from((1, 2, 5, 12)))
     digit = st.integers(0, p - 1)
-    a = tuple(data.draw(st.lists(digit, min_size=m, max_size=m)))
-    b = tuple(data.draw(st.lists(digit, min_size=m, max_size=m)))
-    M = _sympy([c.rep for c in E.modulus])
-    want = gf_rem(gf_mul(_sympy(a), _sympy(b), p, ZZ), M, p, ZZ)
+    M = draw(st.lists(digit, min_size=m, max_size=m)) + [1]
+    if draw(st.booleans()):
+        digit = st.just(p - 1)
+    a = tuple(draw(st.lists(digit, min_size=m, max_size=m)))
+    b = tuple(draw(st.lists(digit, min_size=m, max_size=m)))
+    F = make_field(p, 1)
+    return ExtField(F, tuple(map(F.elt, M))), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(modulus_and_reps())
+def test_ext_mul_matches_gf_rem_of_gf_mul(case):
+    E, a, b = case
+    p, M = E.char, _sympy(E._m)
     got = E._mul(a, b)
-    assert len(got) == m
-    assert _kernel(got, make_field(p, 1)) == want
+    assert len(got) == E.deg
+    assert _kernel(got, E.base) == gf_rem(gf_mul(_sympy(a), _sympy(b), p, ZZ), M, p, ZZ)
 
 
-# polynomials over F_p[t]/(M) run on the packed F_p loop, and over the
+@settings(max_examples=200, deadline=None)
+@given(modulus_and_reps(), st.integers(0, 2 ** 80))
+def test_ext_pow_matches_gf_pow_mod(case, e):
+    E, a, _ = case
+    p, M = E.char, _sympy(E._m)
+    got = E._pow(a, e)
+    assert len(got) == E.deg
+    assert _kernel(got, E.base) == gf_pow_mod(_sympy(a), e, M, p, ZZ)
+
+
+def _next_monic(f, p):
+    """The monic polynomial after f (high first) when its lower coefficients
+    count up as a base-p number, wrapping around."""
+    f, i = list(f), len(f) - 1
+    f[i] = (f[i] + 1) % p
+    while not f[i] and i > 1:
+        i -= 1
+        f[i] = (f[i] + 1) % p
+    return f
+
+
+@st.composite
+def monic_over_prime(draw):
+    """p and a monic polynomial over F_p of degree 1..12, high first: a
+    random one, a product of two, or the first irreducible at or after a
+    random one."""
+    p = draw(st.sampled_from((2, 3, 13, 1000003)))
+
+    def monic(top):
+        m = draw(st.integers(1, top))
+        return [1] + draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+
+    kind = draw(st.sampled_from(("random", "product", "irreducible")))
+    if kind == "product":
+        g = monic(11)
+        return p, gf_mul(g, monic(13 - len(g)), p, ZZ)
+    f = monic(12)
+    while kind == "irreducible" and not gf_irreducible_p(f, p, ZZ):
+        f = _next_monic(f, p)
+    return p, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_over_prime())
+def test_rabin_over_a_prime_field_matches_gf_irreducible_p(case):
+    p, f = case
+    assert is_irreducible_over(make_field(p, 1), f[::-1]) == gf_irreducible_p(f, p, ZZ)
+
+
+# polynomials over F_p[t]/(M) run on the nested packing, and over the
 # tower on the kernel's generic path, through the field's own operations
 EXT_FIELDS = {"F9": F9, "F25": make_field(5, 2), "F81/F9": TOWER}
 EXT_ELTS = {name: list(E.elements()) for name, E in EXT_FIELDS.items()}
