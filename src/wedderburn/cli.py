@@ -244,8 +244,7 @@ def run(config):
 
 
 def _exit_code_for(exc):
-    if isinstance(exc, (AssertionError, oracle.GroupMismatch,
-                        oracle.InconsistentPrescription)):
+    if isinstance(exc, (AssertionError, oracle.GroupMismatch)):
         return EXIT_PANIC
     if isinstance(exc, (ValueError, TypeError, ArithmeticError)):
         return EXIT_INVALID

@@ -3,9 +3,11 @@
 The central set is produced one entry per Wedderburn component, in the
 component order of the decomposition, so counts and labels line up.
 For each 2x2 component the central idempotent splits further into two
-orthogonal non-central idempotents; these come from closed-form
-constructions where one exists, and from CRT interpolation of a matrix
-unit through the component's conjugation frame where it does not.
+orthogonal non-central idempotents.  Every one of them is the factor
+idempotent e_f times an element P(x) + Q(x) y, built by _pair: (P, Q)
+comes from a closed form where one exists, and where it does not from
+the matrix unit E11 carried through the component's conjugation frame
+and lifted through e_f.
 
 Every constructed element is run through the table-based oracle before
 it is returned: idempotency, orthogonality, centrality or the lack of
@@ -21,8 +23,7 @@ from .cyclotomic import classify
 from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul
 from .fields import ext_field, padic_valuation, sqrt_in_field
 from .groups import NONSPLIT, SPLIT
-from .oracle import (algebra_for, are_orthogonal, interpolate_idempotent,
-                     is_central, is_idempotent)
+from .oracle import algebra_for, are_orthogonal, is_central, is_idempotent
 from .polys import (NotInvertible, Poly, ext_gcd, formal_derivative,
                     inverse_mod, is_irreducible, powmod, reversed_coeffs,
                     x_power_minus_one)
@@ -184,26 +185,30 @@ def _ell(g, f):
             f"x^(s-1) - 1 not invertible mod {f!r}; upstream misclassification") from exc
 
 
-def _verify_pair(A, parent, e1, e2):
+def _verify_pair(parent, e1, e2):
     assert is_idempotent(e1) and is_idempotent(e2)
     assert are_orthogonal(e1, e2)
     assert e1 + e2 == parent
     assert not is_central(e1) and not is_central(e2)
 
 
+def _pair(g, pos, P, Q):
+    """e1 = e_f * (P(x) + Q(x) y) and its complement e2 = e_f - e1, for
+    the factor at position pos; the one builder of every non-central pair
+    under a self-involutive factor, verified against the oracle."""
+    e_f = _factor_idempotent(g, pos)
+    e1 = e_f * algebra_for(g).from_polys(P, Q)
+    e2 = e_f - e1
+    _verify_pair(e_f, e1, e2)
+    return e1, e2
+
+
 def _split_style_pair(g, report, pos):
     """e_f * [l(x)(1 - y) + 1] and its complement; valid whenever the
     factor's root satisfies xi^n = 1 (the split kind, and the x^n - 1
     side of the nonsplit kind)."""
-    A = algebra_for(g)
-    F = A.field
-    f = report.factors[pos].poly
-    ell = _ell(g, f)
-    e_f = _factor_idempotent(g, pos)
-    e1 = e_f * A.from_polys(ell + Poly.one(F), -ell)
-    e2 = e_f - e1
-    _verify_pair(A, e_f, e1, e2)
-    return e1, e2
+    ell = _ell(g, report.factors[pos].poly)
+    return _pair(g, pos, ell + Poly.one(ell.field), -ell)
 
 
 def noncentral_split(f, g):
@@ -223,15 +228,9 @@ def noncentral_split(f, g):
 def _one_plus_by_pair(g, report, pos, beta_poly):
     """e_f * (l(x) + 1)(1 + B(x) y) and complement, for the closed-form
     branches on the x^n + 1 side."""
-    A = algebra_for(g)
-    F = A.field
-    f = report.factors[pos].poly
-    ell1 = _ell(g, f) + Poly.one(F)
-    e_f = _factor_idempotent(g, pos)
-    e1 = e_f * A.from_polys(ell1, (ell1 * beta_poly) % x_power_minus_one(F, g.N))
-    e2 = e_f - e1
-    _verify_pair(A, e_f, e1, e2)
-    return e1, e2
+    F = beta_poly.field
+    ell1 = _ell(g, report.factors[pos].poly) + Poly.one(F)
+    return _pair(g, pos, ell1, (ell1 * beta_poly) % x_power_minus_one(F, g.N))
 
 
 def by_interpolation(g, fac):
@@ -244,8 +243,9 @@ def by_interpolation(g, fac):
 
 
 def noncentral_via_interpolation(g, position):
-    """Split the 2x2 component at this factor position by interpolating
-    the matrix unit E11 through the component's conjugation frame.
+    """Split the 2x2 component at this factor position with the matrix
+    unit E11, carried through the component's conjugation frame and lifted
+    through e_f.
 
     Works for every self-involutive 2x2 component of either kind; this
     is the construction of record where by_interpolation holds, and the
@@ -253,11 +253,16 @@ def noncentral_via_interpolation(g, position):
     where the x^{n/2} closed form applies (x^n + 1 side, q = 3 mod 4, not
     by interpolation) the eta frame's square root of -1 is xi^{n/2}
     itself, the convention that closed form corresponds to.
+
+    In the plain generator frame, x -> diag(xi, xi^s) and y -> [[0, xi^n],
+    [1, 0]], the element P(x) + Q(x) y has top row (P(xi), xi^n Q(xi)).
+    So M = W E11 W^{-1} names P = m11 and Q = xi^n m12 mod f; its bottom
+    row must be their conjugates under xi -> xi^s, the Frobenius to the
+    half degree.  The unique element with these residues mod f and zero
+    residues mod every other factor of x^N - 1 is e_f (P + Q y).
     """
-    A = algebra_for(g)
-    F = A.field
-    report = classify(F, g.N, g.s)
-    fac = report.factors[position]
+    F = algebra_for(g).field
+    fac = classify(F, g.N, g.s).factors[position]
     if fac.divides_x_d_minus_1 or not fac.self_involutive:
         raise PreconditionFactor("no 2x2 component at this position")
     K = ext_field(F, fac.poly.coeffs)
@@ -266,12 +271,12 @@ def noncentral_via_interpolation(g, position):
         beta = K.gen ** (g.n // 2)
     _, W = frame(g, fac, beta)
     E11 = ((K.one, K.zero), (K.zero, K.zero))
-    M = mat_mul(mat_mul(W, E11), mat_inv(W))
-    e1 = interpolate_idempotent(A, {position: ("matrix", M)}, report)
-    e_f = _factor_idempotent(g, position)
-    e2 = e_f - e1
-    _verify_pair(A, e_f, e1, e2)
-    return e1, e2
+    (m11, m12), (m21, m22) = mat_mul(mat_mul(W, E11), mat_inv(W))
+    q_val = -m12 if g.n % fac.root_order else m12
+    e = F.order ** (fac.degree // 2)
+    assert m11 ** e == m22 and q_val ** e == m21, \
+        "matrix unit is not Galois-consistent for this factor"
+    return _pair(g, position, Poly.from_reps(F, m11.rep), Poly.from_reps(F, q_val.rep))
 
 
 def _case3_printed_check(g, report, pos, e1, e2, notes):
@@ -358,8 +363,7 @@ def complete_idempotent_set(g, decomposition, include_noncentral=False,
             if comp.source.kind == PAIR:
                 pair = (_factor_idempotent(g, pos),
                         _factor_idempotent(g, comp.source.partner))
-                A = algebra_for(g)
-                _verify_pair(A, entries[i].element, *pair)
+                _verify_pair(entries[i].element, *pair)
             elif comp.source.frame == "sigma-tau":
                 pair = _split_style_pair(g, report, pos)
             else:

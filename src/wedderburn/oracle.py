@@ -1,10 +1,10 @@
 """Brute-force ground truth for F_qG: table-based arithmetic and checks.
 
-Nothing in here knows the structure theory.  Elements are coefficient
-vectors indexed by the group's normal forms, products go through the
-multiplication table, the center comes out of exact linear algebra mod p,
-and the number of simple components is read off the fixed space of the
-p-power map on the center.  The decomposition machinery is tested against
+Nothing in here knows the structure theory: no factor of x^N - 1, no
+factor field, no frame.  Elements are coefficient vectors indexed by the
+group's normal forms, products go through the multiplication table, the
+center comes out of exact linear algebra mod p, and the number of simple
+components is read off the fixed space of the p-power map on the center.  The decomposition machinery is tested against
 this module, never the other way around.
 
 Coefficients of F_{p^m} are stored componentwise as integers mod p in a
@@ -17,17 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import classify
-from .fields import ExtField, PrimeField, ext_field, make_field, split_prime_power
-from .groups import NONSPLIT, element_index, group_elements, group_mult
-from .polys import Poly, ext_gcd, x_power_minus_one
+from .fields import ExtField, PrimeField, make_field, split_prime_power
+from .groups import element_index, group_elements, group_mult
+from .polys import Poly
 
 
 class GroupMismatch(TypeError):
-    pass
-
-
-class InconsistentPrescription(ValueError):
     pass
 
 
@@ -110,14 +105,6 @@ class GroupAlgebra:
         c = np.zeros((self.size, self.m), dtype=np.int64)
         c[k, 0] = 1
         return AlgebraElement(self, c)
-
-    def scalar(self, c):
-        """The scalar c (a field element, or int over a prime field) times 1."""
-        if isinstance(c, int):
-            c = self.field.elt(c)
-        v = np.zeros((self.size, self.m), dtype=np.int64)
-        v[0] = c.key()
-        return AlgebraElement(self, v)
 
     def from_polys(self, P, Q):
         """The element P(x) + Q(x) y; degrees must stay below N."""
@@ -376,112 +363,3 @@ def component_count(algebra):
     K = F.shape[0]
     fixed = _nullspace_mod((F - np.eye(K, dtype=np.int64)) % p, p)
     return fixed.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# CRT interpolation of elements with prescribed component images
-
-
-def _crt_pair(P1, M1, P2, M2):
-    """P with P = P1 mod M1, P = P2 mod M2 (coprime moduli)."""
-    g, u, _ = ext_gcd(M1, M2)
-    assert g.is_one(), "CRT moduli not coprime"
-    # P1 + M1 * (u * (P2 - P1) mod M2)
-    corr = (u * (P2 - P1)) % M2
-    return P1 + M1 * corr
-
-
-def _as_ext_elt(K, v):
-    """Coerce v into the factor field K = F_q[x]/(f)."""
-    if isinstance(v, int):
-        base = K.base
-        c = base.elt(v) if isinstance(base, PrimeField) else base.elt([v])
-        return K.lift(c)
-    if v.field is K:
-        return v
-    if v.field is K.base:
-        return K.lift(v)
-    raise TypeError("prescription entry from the wrong field")
-
-
-def interpolate_idempotent(algebra, targets, report=None):
-    """The unique u = P(x) + Q(x) y with the prescribed per-factor images.
-
-    targets maps a factor's position in the classification report to the
-    prescribed image there; positions absent from the map get the zero
-    prescription.  Forms accepted, with K = F_q[x]/(f) the factor field:
-
-      ("signs", t, u)     split-kind factor of x^d - 1: images t, u of the
-                          two one-dimensional components y -> +1, y -> -1
-      ("matrix", M)       self-involutive factor, M a 2x2 tuple over K in
-                          the plain generator frame x -> diag(xi, xi^s),
-                          y -> antidiagonal (sign from xi^n); entries
-                          (2,1)/(2,2) must be the xi -> xi^s conjugates
-                          of (1,2)/(1,1), else InconsistentPrescription
-
-    The result is exact; the prescription residues are re-checked on the
-    way out.  Constant prescriptions (matrix units, identities) mean the
-    same thing in every conjugation convention, which is how the
-    cross-checks use this.
-    """
-    A = algebra
-    F = A.field
-    g = A.group
-    if report is None:
-        report = classify(F, g.N, g.s)
-    nonsplit = g.kind == NONSPLIT
-    half = F.elt(2).inverse() if A.m == 1 else F.elt([2]).inverse()
-
-    residues = {}
-
-    def put(pos, p_elt, q_elt):
-        assert pos not in residues, "duplicate prescription"
-        f = report.factors[pos].poly
-        residues[pos] = (Poly.from_reps(F, p_elt.rep) % f,
-                         Poly.from_reps(F, q_elt.rep) % f)
-
-    for pos, target in sorted(targets.items()):
-        fac = report.factors[pos]
-        K = ext_field(F, fac.poly.coeffs)
-        kind = target[0]
-        if kind == "signs":
-            if nonsplit or not fac.divides_x_d_minus_1:
-                raise InconsistentPrescription(
-                    "signs prescription only fits split-kind factors of x^d - 1")
-            t_plus = _as_ext_elt(K, target[1])
-            t_minus = _as_ext_elt(K, target[2])
-            h = K.lift(half)
-            put(pos, (t_plus + t_minus) * h, (t_plus - t_minus) * h)
-        elif kind == "matrix":
-            if not fac.self_involutive:
-                raise InconsistentPrescription(
-                    "matrix prescription needs a self-involutive factor")
-            (m11, m12), (m21, m22) = target[1]
-            m11, m12 = _as_ext_elt(K, m11), _as_ext_elt(K, m12)
-            m21, m22 = _as_ext_elt(K, m21), _as_ext_elt(K, m22)
-            # sigma: xi -> xi^s is Frobenius to the half-degree power
-            # (identity on x^d - 1, where xi^s = xi and deg f may be odd)
-            e = 1 if fac.divides_x_d_minus_1 else F.order ** (fac.degree // 2)
-            # base frame y-image is [[0, eps], [1, 0]] with eps = xi^n
-            q_val = -m12 if g.n % fac.root_order else m12
-            if m11 ** e != m22 or q_val ** e != m21:
-                raise InconsistentPrescription(
-                    "matrix entries are not Galois-consistent for this factor")
-            put(pos, m11, q_val)
-        else:
-            raise ValueError(f"unknown prescription form {kind!r}")
-
-    P = Poly.zero(F)
-    Q = Poly.zero(F)
-    M = Poly.one(F)
-    for pos, fac in enumerate(report.factors):
-        p_res, q_res = residues.get(pos, (Poly.zero(F), Poly.zero(F)))
-        P = _crt_pair(P, M, p_res, fac.poly)
-        Q = _crt_pair(Q, M, q_res, fac.poly)
-        M = M * fac.poly
-    assert M == x_power_minus_one(F, g.N)
-    P, Q = P % M, Q % M
-    for pos, fac in enumerate(report.factors):
-        p_res, q_res = residues.get(pos, (Poly.zero(F), Poly.zero(F)))
-        assert P % fac.poly == p_res and Q % fac.poly == q_res
-    return A.from_polys(P, Q)

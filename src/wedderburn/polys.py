@@ -10,7 +10,8 @@ and packed F_p[t]/(M), the field's own operations only over towers), so
 where a caller reads a coefficient: `coeffs`, `lead()` and `coeff(i)`.
 """
 
-from .fields import ExtField, FieldElt, _padd, _pdivmod, _pmul, _ptrim, is_irreducible_over
+from .fields import (ExtField, FieldElt, _padd, _pdivmod, _pmul, _power, _ptrim,
+                     is_irreducible_over)
 
 
 class FieldMismatch(TypeError):
@@ -239,14 +240,8 @@ def inverse_mod(f, modulus):
 
 
 def powmod(f, e, modulus):
-    result = Poly.one(f.field) % modulus
-    base = f % modulus
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        e >>= 1
-    return result
+    return _power(f % modulus, e, Poly.one(f.field) % modulus,
+                  lambda a, b: a * b % modulus)
 
 
 def reversed_coeffs(f):

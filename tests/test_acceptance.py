@@ -11,6 +11,7 @@ library's own degree bookkeeping.
 
 from math import gcd, lcm
 
+from perfbench.checks import check_sweep_report
 from wedderburn.battery import perlis_walker_degrees
 from wedderburn.cyclotomic import (
     NotCoprimeNQ,
@@ -82,6 +83,15 @@ def test_component_count_and_center_dimension(battery_result):
     bad = [rep.key for rep in battery_result.reports
            if _status(rep, "component-count") != "pass"]
     assert bad == []
+
+
+def test_every_report_passes_the_independent_sweep_check(battery_result):
+    """perfbench.checks shares no code with wedderburn: it counts F_q-classes
+    and conjugacy classes from the presentation alone, and reads every
+    report's component count, center dimension and shapes against them."""
+    problems = [problem for rep in battery_result.reports
+                for problem in check_sweep_report(rep.to_json())]
+    assert problems == []
 
 
 def test_component_count_recomputed_from_scratch():

@@ -1,5 +1,7 @@
 """Command line front end: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wedderburn
 from wedderburn import battery, cli, oracle
@@ -237,6 +241,37 @@ def test_exit_code_mapping():
     assert cli._exit_code_for(AssertionError("x")) == EXIT_PANIC
     assert cli._exit_code_for(GroupMismatch("x")) == EXIT_PANIC
     assert (EXIT_OK, EXIT_INVALID, EXIT_PANIC, EXIT_CHECK_FAILED) == (0, 1, 2, 3)
+
+
+@st.composite
+def group_specs(draw):
+    """A group string from the grammar kind:n=..,s=.., sometimes with noise:
+    an unknown kind, a missing or repeated key, or a non-integer value."""
+    kind = draw(st.sampled_from(["split", "nonsplit"] * 3 + ["Split", "cyclic", ""]))
+    s = draw(st.one_of(st.sampled_from([1, -1]), st.integers(-3, 25)))
+    pieces = [f"n={draw(st.integers(0, 12))}", f"s={s}"]
+    noise = draw(st.sampled_from(["none"] * 5 + ["missing", "repeated", "non-integer"]))
+    if noise == "missing":
+        pieces.pop(draw(st.integers(0, 1)))
+    elif noise == "repeated":
+        pieces.append(draw(st.sampled_from(pieces)))
+    elif noise == "non-integer":
+        k = draw(st.integers(0, 1))
+        pieces[k] = pieces[k].split("=")[0] + "=" + draw(st.sampled_from(["", "x", "2.5", "1e3"]))
+    return f"{kind}:{','.join(draw(st.permutations(pieces)))}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["factor", "decompose", "idempotents", "verify"]),
+       st.booleans(), st.one_of(st.sampled_from([3, 5, 7, 9, 11, 25, 27, 49]),
+                                st.integers(-3, 60)), group_specs())
+def test_exit_code_is_ok_or_invalid_on_any_input(command, noncentral, q, group):
+    argv = [command, "--q", str(q), "--group", group]
+    if noncentral:
+        argv.append("--include-noncentral")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (EXIT_OK, EXIT_INVALID), argv
 
 
 def test_battery_small_run(capsys):

@@ -6,16 +6,19 @@ from math import gcd
 
 import pytest
 
-from wedderburn import oracle
+from test_golden import INSTANCES
+
+from wedderburn import idempotents
 from wedderburn.cyclotomic import classify, cyclotomic_cosets, factor_xn_minus_1
-from wedderburn.decompose import decompose
-from wedderburn.fields import make_field, padic_valuation, split_prime_power
-from wedderburn.groups import NONSPLIT, SPLIT, make_group
+from wedderburn.decompose import decompose, frame, mat_inv, mat_mul
+from wedderburn.fields import ext_field, make_field, padic_valuation, split_prime_power
+from wedderburn.groups import NONSPLIT, SPLIT, make_group, parse_group
 from wedderburn.idempotents import (
     CENTRAL,
     NONCENTRAL,
     NotIrreducibleFactor,
     PreconditionFactor,
+    by_interpolation,
     central_idempotents,
     complete_idempotent_set,
     cyclic_idempotent,
@@ -154,6 +157,51 @@ def test_noncentral_split_rejects_wrong_factors():
 def test_noncentral_split_matches_interpolation():
     e1, e2 = noncentral_split(Poly.from_ints(F3, (1, 0, 1)), D8)
     assert noncentral_via_interpolation(D8, 2) == (e1, e2)
+
+
+def _matrix_unit(g, fac):
+    """W E11 W^{-1} over K = F_q[x]/(f) in the plain generator frame, with
+    the frame pinned as noncentral_via_interpolation pins it."""
+    K = ext_field(fac.poly.field, fac.poly.coeffs)
+    beta = None
+    if g.n % fac.root_order and g.q % 4 == 3 and not by_interpolation(g, fac):
+        beta = K.gen ** (g.n // 2)
+    _, W = frame(g, fac, beta)
+    return mat_mul(mat_mul(W, ((K.one, K.zero), (K.zero, K.zero))), mat_inv(W))
+
+
+def test_interpolated_pair_has_the_matrix_unit_residues():
+    # e1 = P + Q y must reduce to (m11, xi^n m12) mod its own factor f and to
+    # zero mod every other factor of x^N - 1: the CRT prescription it solves
+    checked = set()
+    for q, grp in INSTANCES:
+        g = make_group(*parse_group(grp), q)
+        F = make_field(*split_prime_power(q))
+        rep = classify(F, g.N, g.s)
+        for pos, fac in enumerate(rep.factors):
+            if fac.divides_x_d_minus_1 or not fac.self_involutive:
+                continue
+            (m11, m12), _ = _matrix_unit(g, fac)
+            q_val = -m12 if g.n % fac.root_order else m12
+            P, Q = noncentral_via_interpolation(g, pos)[0].to_polys()
+            for other, h in enumerate(rep.factors):
+                want = ((Poly.from_reps(F, m11.rep), Poly.from_reps(F, q_val.rep))
+                        if other == pos else (Poly.zero(F), Poly.zero(F)))
+                assert (P % h.poly, Q % h.poly) == want, (grp, q, pos, other)
+            checked.add(q)
+    assert {3, 5, 7, 9, 11} <= checked  # the q = 13 groups have no such factor
+
+
+def test_interpolation_rejects_a_galois_inconsistent_matrix_unit(monkeypatch):
+    # in the identity frame E11 = diag(1, 0) has m11 = 1 but m22 = 0, which is
+    # not its conjugate under xi -> xi^s
+    def identity_frame(g, fac, beta=None):
+        K = ext_field(fac.poly.field, fac.poly.coeffs)
+        return "sigma-tau", ((K.one, K.zero), (K.zero, K.one))
+
+    monkeypatch.setattr(idempotents, "frame", identity_frame)
+    with pytest.raises(AssertionError, match="Galois"):
+        noncentral_via_interpolation(D8, 2)
 
 
 def test_noncentral_nonsplit_q8():

@@ -1,5 +1,4 @@
-"""Brute-force group algebra: table arithmetic, predicates, center, and
-CRT interpolation of idempotents.
+"""Brute-force group algebra: table arithmetic, predicates and the center.
 
 Everything the rest of the package claims gets measured against this
 module, so its own tests leans on hand computations and on redundancy
@@ -14,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedderburn import oracle
-from wedderburn.cyclotomic import classify
-from wedderburn.fields import ext_field, make_field
+from wedderburn.fields import make_field
 from wedderburn.groups import (
     NONSPLIT,
     SPLIT,
@@ -29,13 +27,11 @@ from wedderburn.oracle import (
     AlgebraElement,
     GroupAlgebra,
     GroupMismatch,
-    InconsistentPrescription,
     algebra_for,
     are_orthogonal,
     center_basis,
     center_dimension,
     component_count,
-    interpolate_idempotent,
     is_central,
     is_idempotent,
     multiply,
@@ -139,52 +135,6 @@ def test_seeded_associativity_spot_checks():
     assert A1.size == A2.size == 34
 
 
-def test_interpolate_identity_everywhere():
-    A = algebra_for(D8)
-    rep = classify(A.field, 4, 3)
-    K = ext_field(A.field, rep.factors[2].poly.coeffs)
-    ident = ((K.one, K.zero), (K.zero, K.one))
-    u = interpolate_idempotent(
-        A, {0: ("signs", 1, 1), 1: ("signs", 1, 1), 2: ("matrix", ident)}, rep
-    )
-    assert u == A.one()
-
-
-def test_interpolate_single_component_identity():
-    A = algebra_for(D8)
-    F = A.field
-    rep = classify(F, 4, 3)
-    K = ext_field(F, rep.factors[2].poly.coeffs)
-    ident = ((K.one, K.zero), (K.zero, K.one))
-    u = interpolate_idempotent(A, {2: ("matrix", ident)}, rep)
-    # x^2 - 1 in F_3: the central idempotent of the 2x2 component
-    expect = A.from_polys(Poly.from_ints(F, (2, 0, 1)), Poly.zero(F))
-    assert u == expect
-    assert is_idempotent(u) and is_central(u)
-
-
-def test_interpolate_rejects_galois_inconsistent_matrix():
-    A = algebra_for(D8)
-    F = A.field
-    rep = classify(F, 4, 3)
-    K = ext_field(F, rep.factors[2].poly.coeffs)
-    e11 = ((K.one, K.zero), (K.zero, K.zero))
-    with pytest.raises(InconsistentPrescription):
-        interpolate_idempotent(A, {2: ("matrix", e11)}, rep)
-
-
-def test_interpolated_sign_prescription():
-    A = algebra_for(D8)
-    rep = classify(A.field, 4, 3)
-    # +1 on the y -> +1 character of the factor x-1 (position 1), zero
-    # elsewhere: this is one of the four one-dimensional idempotents
-    u = interpolate_idempotent(A, {1: ("signs", 1, 0)}, rep)
-    assert is_idempotent(u) and is_central(u)
-    v = interpolate_idempotent(A, {1: ("signs", 0, 1)}, rep)
-    assert is_idempotent(v) and is_central(v)
-    assert are_orthogonal(u, v)
-
-
 def test_associativity_check_rejects_a_broken_table(monkeypatch):
     # x^i y^j * x^k y^l -> x^(i-k) y^(j+l) away from the identity: identity
     # row and column intact, associativity broken on most triples
@@ -283,7 +233,8 @@ def test_is_central_matches_commutation_with_the_basis(us, data):
     z = A.zero()
     for cls in _class_sums(A):
         c = [data.draw(st.integers(0, A.p - 1)) for _ in range(A.m)]
-        z = z + cls * A.scalar(A.field.elt(c[0] if A.m == 1 else c))
+        z = z + cls * A.from_polys(Poly(A.field, (A.field.elt(c[0] if A.m == 1 else c),)),
+                                   Poly.zero(A.field))
     assert is_central(z) and _commutes_with_basis(z)
     w = z + A.basis_element(data.draw(st.integers(0, A.size - 1)))
     assert is_central(w) == _commutes_with_basis(w)
