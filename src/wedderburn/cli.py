@@ -4,7 +4,10 @@ Subcommands: factor (the factor lattice of x^N - 1 with the s-action),
 decompose (the simple components with generator images), idempotents
 (central and optionally non-central sets), verify (grade one instance
 against the oracle), battery (grade the whole sweep).  Output is text or
-JSON, byte-identical across runs for the same arguments.
+JSON, byte-identical across runs for the same arguments.  In the
+idempotents JSON each entry gives its element once, as flat: flat[k] is
+the coefficient of x^(k mod N) y^(k div N), as its F_p digits, low digit
+first.
 
 Exit codes: 0 success, 1 invalid input, 2 internal consistency failure,
 3 a verification check failed.
@@ -68,9 +71,11 @@ def build_parser():
     sub.add_parser("decompose", parents=[instance],
                    help="simple components with generator images")
 
-    idem = sub.add_parser("idempotents", parents=[instance],
-                          help="central primitive idempotents, optionally "
-                               "with the non-central splittings")
+    idem_help = ("central primitive idempotents, optionally with the "
+                 "non-central splittings; in JSON, flat[k] is the coefficient "
+                 "of x^(k mod N) y^(k div N) as F_p digits, low digit first")
+    idem = sub.add_parser("idempotents", parents=[instance], help=idem_help,
+                          description=idem_help)
     idem.add_argument("--include-noncentral", action="store_true")
     idem.add_argument("--crt-fallback", action="store_true",
                       help="accepted and ignored: every 2x2 component already "

@@ -107,18 +107,6 @@ def group_mult(g, a, b):
     return (i, j)
 
 
-def group_inverse(g, a):
-    i, j = a
-    N = g.N
-    if j == 0:
-        return (-i % N, 0)
-    # (x^i y)^-1 = y^-1 x^-i = x^(-i*s) y^-1; y^-1 = y resp. x^(-n) y = x^n y
-    k = (-i * g.s) % N
-    if g.kind == NONSPLIT:
-        k = (k + g.n) % N
-    return (k, 1)
-
-
 def parse_group(text):
     """Inverse of repr(GroupPresentation): "split:n=4,s=3" -> (kind, n, s)."""
     head, _, tail = text.partition(":")

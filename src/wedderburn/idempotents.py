@@ -48,16 +48,9 @@ class IdempotentEntry:
     parent: Optional[str] = None
 
     def to_json(self):
-        coeffs = []
-        A = self.element.algebra
-        N = A.group.N
-        for k, (i, j) in enumerate(A.elements):
-            vec = self.element.coeffs[k]
-            if vec.any():
-                coeffs.append({"power_of_x": i, "has_y": bool(j),
-                               "value": vec.tolist()})
+        """flat[k] is the coefficient of x^(k mod N) y^(k div N), as its
+        F_p digits, low digit first."""
         return {"label": self.label, "kind": self.kind, "parent": self.parent,
-                "coeffs": coeffs,
                 "flat": self.element.coeffs.tolist()}
 
 

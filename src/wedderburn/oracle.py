@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import ExtField, PrimeField, make_field, split_prime_power
-from .groups import element_index, group_elements, group_mult
+from .groups import NONSPLIT, element_index, group_elements
 from .polys import Poly
 
 
@@ -38,6 +38,21 @@ def _structure_tensor(field):
         for b in range(m):
             T[a, b] = (field.gen ** (a + b)).key()
     return T
+
+
+def multiplication_table(group):
+    """table[a, b] = c with g_a g_b = g_c, indexed as in group_elements.
+
+    From the law x^i y^j * x^k y^l = x^(i + s^j k + c [j = l = 1]) y^(j + l mod 2),
+    with c = n for nonsplit groups and 0 for split ones.
+    """
+    N = group.N
+    i = np.tile(np.arange(N), 2)
+    j = np.repeat(np.arange(2), N)
+    c = group.n if group.kind == NONSPLIT else 0
+    power = (i[:, None] + np.where(j, group.s, 1)[:, None] * i
+             + c * (j[:, None] & j))
+    return ((j[:, None] ^ j) * N + power % N).astype(np.intp)
 
 
 class GroupAlgebra:
@@ -66,13 +81,8 @@ class GroupAlgebra:
                              "(p-1)^2 < 2^63 for m = 1, and |G| (p-1) < 2^63")
         self.elements = group_elements(group)
         n = self.size
-        table = np.zeros((n, n), dtype=np.intp)
-        for a, ga in enumerate(self.elements):
-            for b, gb in enumerate(self.elements):
-                i, j = group_mult(group, ga, gb)
-                table[a, b] = element_index(group, i, j)
-        self.table = table
-        self.table.setflags(write=False)
+        table = self.table = multiplication_table(group)
+        table.setflags(write=False)
         idx = np.arange(n)
         assert (table[0] == idx).all() and (table[:, 0] == idx).all()
         if n <= 32:

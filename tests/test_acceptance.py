@@ -9,9 +9,11 @@ degrees from raw Frobenius orbits in F_q[x]/(f) instead of trusting the
 library's own degree bookkeeping.
 """
 
+import json
 from math import gcd, lcm
 
-from perfbench.checks import check_sweep_report
+from perfbench.checks import check_factor, check_sweep_report
+from wedderburn import cli
 from wedderburn.battery import perlis_walker_degrees
 from wedderburn.cyclotomic import (
     NotCoprimeNQ,
@@ -91,6 +93,25 @@ def test_every_report_passes_the_independent_sweep_check(battery_result):
     report's component count, center dimension and shapes against them."""
     problems = [problem for rep in battery_result.reports
                 for problem in check_sweep_report(rep.to_json())]
+    assert problems == []
+
+
+def test_factor_passes_the_independent_check_on_the_battery_grid(battery_keys, capsys):
+    """`factor --format json` on every (q, N) of the battery, each under its
+    largest twist s, against perfbench.checks.check_factor: the q-cyclotomic
+    cosets, monic factors of the coset degrees, the s-action on each coset,
+    and sympy's factors (prime q) or the product of the factors (F_9)."""
+    pick = {}
+    for kind, n, s, q in battery_keys:
+        N = n if kind == SPLIT else 2 * n
+        if (q, N) not in pick or s > pick[q, N][2]:
+            pick[q, N] = (kind, n, s)
+    assert len(pick) == 176
+    problems = []
+    for (q, N), (kind, n, s) in pick.items():
+        argv = ["factor", "--q", str(q), "--group", f"{kind}:n={n},s={s}", "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_OK
+        problems += check_factor(q, N, s, json.loads(capsys.readouterr().out))
     assert problems == []
 
 

@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from perfbench.checks import check_idempotents
 from wedderburn import cli
 from wedderburn.decompose import SELF_INVOLUTIVE, decompose
 from wedderburn.groups import make_group, parse_group
@@ -223,69 +224,69 @@ DIGESTS = {
     ('decompose', 13, 'nonsplit:n=3,s=5'):
         "053056bf3ae8abb473f360bb19fc40336e87626c72da82d7ca9dbbae97dccbd9",
     ('idempotents', 3, 'split:n=1,s=1'):
-        "ebb8aea3759529ee1ac1047e4e74c7498c924f5422c9ad23118914546406d67b",
+        "d9942d70b7063bf6eef04422c247d1f146f7aee47e891eb0f6d0f48561ed0221",
     ('idempotents', 3, 'split:n=4,s=3'):
-        "82d7ae64e01589dc45e1fb7961009b940be33d95ac0f309fe5c660cc8b41cdf8",
+        "4c806f7cdb09d09d618439d6889fc8a2128048ff5a3ff8ab86a977188841a3d7",
     ('idempotents', 3, 'split:n=8,s=7'):
-        "13c691e80ec76d62ff9da720cf79c26823ae0dc26c68c5554acd4cb32a6e1fb1",
+        "5ed001743ab0d03330dcb1b4135e17880a3be4eac8c77d787503fed150a34bcc",
     ('idempotents', 3, 'nonsplit:n=1,s=1'):
-        "89b661e9405c0a0e6f0a51d30df380869098ff154a7baa14500080499114d388",
+        "b950e940800f01857f41af8baa77ecb22eb68ddd8acb984588b9c46966093edc",
     ('idempotents', 3, 'nonsplit:n=2,s=3'):
-        "d9761898812da87b63327c42a5cc151f7cc1affca292a6487edcab2052c681e9",
+        "cf5c4d33466cc041ee94c16c671acfeb4c7603a6dd134194175b334a0673dbdb",
     ('idempotents', 3, 'nonsplit:n=4,s=3'):
-        "ad15974e927b3b6019c30efe6c2b2a5e02e1f097d82ba003618404929ac1befb",
+        "f061dfeb9cc9648142a87d488d1d079c71a61028c59e79911acf57b479ab7171",
     ('idempotents', 3, 'nonsplit:n=4,s=5'):
-        "675904d47b2800e11f81157e3e25fae9f520f0dfb72579bcd2f2d7354eda77ac",
+        "00828bcd45512a5c2cfca9c6bd14ed407c085d693825df2da604a84a4954a24a",
     ('idempotents', 3, 'nonsplit:n=5,s=9'):
-        "9d86545086d38b0f4ee30581a28075a8e4d56d2152812dfd5d84780296a4d1ab",
+        "437921dfc3fd83dfffb60c2f8415107bf838aaf043e0b705864dbb68b1d4f2c3",
     ('idempotents', 3, 'nonsplit:n=8,s=7'):
-        "68c7fbb2ecf02e497d793abc9b5917f593317d72a2fee8e1178977ea83ff45c9",
+        "2ceba98d228f6148caf8d1a937129f658f8254868491e534b0086d082834a4f6",
     ('idempotents', 3, 'nonsplit:n=8,s=9'):
-        "d78071170ca6547bad1e280d237427a9cb30a6e925c025919b814a550be6dc1a",
+        "521ef3eaf98e227cb7fc9615c499b82aa55858ac970e9f97a5143eb33a35a5ba",
     ('idempotents', 5, 'split:n=4,s=3'):
-        "e1e981f74acf1fd29327ab8bf9ff3826e02bd5a4860e43a09736b1edf3e65740",
+        "484c4f695b08879748038ccad9445102115b1d1f017cb2d66afe30dbec0fb7ea",
     ('idempotents', 5, 'nonsplit:n=2,s=3'):
-        "f4f844589243f9d07168ad137c9094e4e9d2162c6060449c98ae72ffc6be8735",
+        "5729b3462f41367242878b6fc3c9c1f815b4bd19f8b6e41731ebe394eb4a6c91",
     ('idempotents', 5, 'nonsplit:n=3,s=5'):
-        "7a2916b0d9e631ad0f744376633c6498b6a5c02359661707ec76f20f7fe842a6",
+        "309f83c5fc1c5c7eeccbe990a2d984b3704e14307b3797f32041b84630d02877",
     ('idempotents', 5, 'nonsplit:n=4,s=5'):
-        "ead0e819716cfd4fe4e32aeec6bf5e78196bae60572de7314a045ae08b519261",
+        "9edd0c951ca193adbbfbd01f3a1632fcd716a265280dc78a4261444555ab701a",
     ('idempotents', 7, 'split:n=4,s=3'):
-        "069e08a13204848fcf4c75d1ed084fb96ba1a8072cf194efb4bbc27655c2a781",
+        "d2554d95fae115be3ebad76eb02765a850310698a953f2a5dca1baf7516542f4",
     ('idempotents', 7, 'split:n=6,s=5'):
-        "5e96604f5dc3c7902dfd00658271d5940705590366d50a2efc9208fd079b94df",
+        "914585a0159812dd1512f4adc68daca277816bdd90e199510f8c0139841e7225",
     ('idempotents', 7, 'nonsplit:n=3,s=5'):
-        "b02675c10b28b880f0838f17739b5bede20ee4752e3aad403df130c583dd6347",
+        "154f07463319c78a39003f75dcc8fa1018add0bf084eba0c41670985d35ee64c",
     ('idempotents', 7, 'nonsplit:n=4,s=7'):
-        "84ceb724f2f4ca1c275739028f3399b41f5f573a384fcb45136b1dceeaa28892",
+        "136427ff3d87e93bfc6fbeac7bd64a9778a30bdd6fafc1b91c3990369e972d3d",
     ('idempotents', 7, 'nonsplit:n=6,s=11'):
-        "9eaba6d79df67cc536bf118067f7d07207b019946c1049d3cadb4089c1a5f9ef",
+        "ecfa689057240f152f6cdff780277e5680c9e68398a5c431fc75f620c7344d3a",
     ('idempotents', 7, 'nonsplit:n=12,s=23'):
-        "2bffc784433c8726c9cf4fc758e404fba10fc2af5180918ab416836483595bf1",
+        "04116f871a6b042c6fbbb8aa5c70f08a4f9e716962f87ac4863b8a6e09938380",
     ('idempotents', 9, 'split:n=7,s=6'):
-        "46140dc99b2cfd324585994098626f3044f0b5a78a61a930e0d29899d43516e7",
+        "c37c252fafd6ebe743724bf2d8beff277fde1340a218287346b236073147048a",
     ('idempotents', 9, 'split:n=10,s=9'):
-        "7f77fe5fc4022b5631f0808c1f0c09513b688734eea48a3ee6a7c369bd5975ad",
+        "2655129dcbd5b9927e356e75b473b1b037448a1cd699eec9423047cedfd6edc9",
     ('idempotents', 9, 'nonsplit:n=4,s=3'):
-        "c21988d9edf54be488be9629c227c3725a33ff916e97b83419729c3d7846b8fc",
+        "e4985b3d03b3e59d729179e9d04aa5cafd71c0c7e235002b2d29d215b664e671",
     ('idempotents', 9, 'nonsplit:n=5,s=9'):
-        "c980fa3bb83b9c3c6efdb380af6b268ffff90abda2f700e18f3ed2c2ce2eab32",
+        "94d725c3e44358d63a911c3d9baa1f20c65e22b7e781ec4d5c0769fe9b3a5eab",
     ('idempotents', 11, 'split:n=5,s=4'):
-        "c46be7e0c12940ce28bd219229ce2159a8cf8c5ba3c735e2ecac9fdef986a058",
+        "ecfc66ce7f27af1348ac71cf722d5f87e5bc1b9fbc3c301f0716ab1aea79c4d5",
     ('idempotents', 11, 'nonsplit:n=3,s=5'):
-        "faadd581787644c3dea86ca8d473db9ff75bde5a27b091724fbf29ff003161a2",
+        "d18755d4b71caaa68a56c365d828c2a718be78a9ca0c80c40954d0c3a213c458",
     ('idempotents', 11, 'nonsplit:n=6,s=7'):
-        "b9e316ed38f779b2c8942bb58d7b1835e06d5ba9397e5d3773b44fefdc826ac3",
+        "59830935c06b3e825b00b0a32e77896d6f5efe5954a9246cdd4581a8345cef00",
     ('idempotents', 11, 'nonsplit:n=8,s=9'):
-        "12dd6117ca069e97ef94b0bd556211db7f3242982ff64532e89c31c7dac0fceb",
+        "79d581a75b346c7fa11cf69b66879bb3a9f30d5c00d7a2d85e2285f0670b37c0",
     ('idempotents', 11, 'nonsplit:n=8,s=15'):
-        "76af655f72dd218ee19a3c30ca0b5e6b4ef850dce7cc8bd23254b3d8ff540d35",
+        "aaee4596af437fa0a51c534021662281372e2a7d2c285b8b409cd4149414f628",
     ('idempotents', 13, 'split:n=3,s=2'):
-        "cc58995902d9b48d145c420e6ef725b8599a0c80f98f83e5b85608d97a599224",
+        "38c21d4ac8eaf413fb0a86e07a08af9cceaafdf3bc40cba2469ccafd0475a9c3",
     ('idempotents', 13, 'nonsplit:n=2,s=3'):
-        "c87be6aa8fc334e75cbe2fd91870926700f87e6788b7704a0af93d5fa3c4e7d3",
+        "19d619b110481687817ee8a12765acfd2aecd6008351d59afc6de81c4e410dfb",
     ('idempotents', 13, 'nonsplit:n=3,s=5'):
-        "6a8274025b896ebccc02aa88ccb7e90ed337bb6c4806409f9596cc55de37d406",
+        "35434b5a514082aa33aa3c341d15d2762b5a5e8a7efa3ffa5f13c4e397ab428c",
     ('factor', 3, 'split:n=17,s=16'):
         "2c43e11d64af5fc98c897fa75097dc0a4c2e7aa68e18ad34ca8988dda2e0214d",
     ('factor', 5, 'nonsplit:n=17,s=1'):
@@ -313,6 +314,17 @@ def test_cli_json_digest(capsys, case):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert _sha256(out) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] == "idempotents"],
+                         ids=lambda c: f"q{c[1]}-{c[2]}")
+def test_idempotents_pass_the_independent_check(capsys, case):
+    """perfbench.checks reads only each entry's flat array and shares no code
+    with wedderburn, so every idempotent must be recoverable from flat."""
+    _, q, grp = case
+    assert cli.main(argv_for(case)) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert check_idempotents(*parse_group(grp), q, payload) == []
 
 
 def test_battery_json_digest(battery_result):

@@ -1,8 +1,10 @@
 """Group presentations, normal forms, and the multiplication law."""
 
-import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedderburn.groups import (
     NONSPLIT,
@@ -12,7 +14,6 @@ from wedderburn.groups import (
     SNotInvolutive,
     element_index,
     group_elements,
-    group_inverse,
     group_mult,
     make_group,
     parse_group,
@@ -106,20 +107,62 @@ def test_associativity_exhaustive_small():
                     assert group_mult(g, ab, c) == group_mult(g, a, group_mult(g, b, c))
 
 
-def test_inverses():
-    rng = random.Random(3)
-    for kind, n, s, q in ((SPLIT, 12, 5, 7), (NONSPLIT, 10, 9, 3), (NONSPLIT, 12, 11, 5)):
-        g = make_group(kind, n, s, q)
-        elems = group_elements(g)
-        for a in rng.sample(elems, 12):
-            inv = group_inverse(g, a)
-            assert group_mult(g, a, inv) == (0, 0)
-            assert group_mult(g, inv, a) == (0, 0)
-
-
 def test_parse_group():
     assert parse_group("split:n=4,s=3") == (SPLIT, 4, 3)
     assert parse_group("nonsplit:n=2,s=3") == (NONSPLIT, 2, 3)
     for bad in ("dihedral:n=4,s=3", "split:n=4", "split:4,3", "split:n=x,s=3"):
         with pytest.raises(ValueError):
             parse_group(bad)
+
+
+def _char(q):
+    """The prime p with q = p^m, or None; by trial division, apart from fields.py."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return p if q == 1 else None
+
+
+ODD_PRIME_POWERS = [q for q in range(3, 200) if _char(q) not in (None, 2)]
+
+
+@st.composite
+def valid_group_args(draw):
+    """(kind, n, s, q) that make_group accepts, with s anywhere in its class mod N."""
+    kind = draw(st.sampled_from((SPLIT, NONSPLIT)))
+    n = draw(st.integers(1, 60))
+    N = n if kind == SPLIT else 2 * n
+    q = draw(st.sampled_from([q for q in ODD_PRIME_POWERS if N % _char(q)]))
+    roots = [s for s in range(N) if (s * s) % N == 1 % N]
+    s = draw(st.sampled_from(roots)) + N * draw(st.integers(-5, 5))
+    return kind, n, s, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_group_args())
+def test_parse_group_inverts_repr(args):
+    kind, n, s, q = args
+    g = make_group(kind, n, s, q)
+    assert parse_group(repr(g)) == (kind, n, s % g.N if g.N > 1 else 1)
+    assert make_group(*parse_group(repr(g)), q) == g
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from((SPLIT, NONSPLIT, "Split", "dihedral", "")),
+       st.integers(-3, 40), st.integers(-100, 100), st.integers(-5, 200))
+def test_make_group_accepts_exactly_the_valid_inputs(kind, n, s, q):
+    """Invalid input raises a ValueError subclass and nothing else."""
+    p = _char(q)
+    N = n if kind == SPLIT else 2 * n
+    valid = (kind in (SPLIT, NONSPLIT) and n >= 1 and p not in (None, 2)
+             and N % p != 0 and (N == 1 or (s * s) % N == 1))
+    try:
+        g = make_group(kind, n, s, q)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+        assert (g.N, g.order, g.d) == (N, 2 * N, gcd(N, g.s - 1) if N > 1 else 1)
+        assert 0 <= g.s < N or g.s == 1

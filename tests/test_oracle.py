@@ -47,7 +47,11 @@ def test_algebra_interning():
 
 
 def test_basis_multiplication_matches_group_law():
-    for g in (D8, Q8, make_group(SPLIT, 5, 4, 3)):
+    # split and nonsplit, and |G| = 34 and 36 beyond the exhaustive
+    # associativity check; group_mult is the reference for the table
+    for g in (D8, Q8, make_group(SPLIT, 5, 4, 3), make_group(NONSPLIT, 6, 5, 5),
+              make_group(NONSPLIT, 5, 9, 3), make_group(SPLIT, 17, 16, 3),
+              make_group(NONSPLIT, 9, 17, 5)):
         A = algebra_for(g)
         elems = group_elements(g)
         for a in elems:
@@ -138,12 +142,17 @@ def test_seeded_associativity_spot_checks():
 def test_associativity_check_rejects_a_broken_table(monkeypatch):
     # x^i y^j * x^k y^l -> x^(i-k) y^(j+l) away from the identity: identity
     # row and column intact, associativity broken on most triples
-    def broken(g, a, b):
+    def broken_mult(g, a, b):
         if a == (0, 0) or b == (0, 0):
             return group_mult(g, a, b)
         return (a[0] - b[0]) % g.N, (a[1] + b[1]) % 2
 
-    monkeypatch.setattr(oracle, "group_mult", broken)
+    def broken(g):
+        elems = group_elements(g)
+        return np.array([[element_index(g, *broken_mult(g, a, b)) for b in elems]
+                         for a in elems], dtype=np.intp)
+
+    monkeypatch.setattr(oracle, "multiplication_table", broken)
     for g in (D8, make_group(SPLIT, 17, 16, 3)):  # exhaustive, then seeded
         with pytest.raises(AssertionError, match="not associative"):
             GroupAlgebra(g, make_field(3, 1))
