@@ -14,8 +14,7 @@ from .decompose import decompose
 from .fields import ext_field, make_field, split_prime_power
 from .groups import NONSPLIT, SPLIT, make_group, parse_group
 from .idempotents import (central_idempotents, complete_idempotent_set,
-                          cyclic_idempotent, noncentral_nonsplit,
-                          noncentral_split)
+                          cyclic_idempotent, noncentral_pair)
 
 __version__ = "0.1.0"
 
@@ -32,8 +31,7 @@ __all__ = [
     "ext_field",
     "make_field",
     "make_group",
-    "noncentral_nonsplit",
-    "noncentral_split",
+    "noncentral_pair",
     "parse_group",
     "run_battery",
     "split_prime_power",

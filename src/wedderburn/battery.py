@@ -64,12 +64,11 @@ def abelianization(g):
     """Cyclic factor orders of G made abelian, small factor first.
 
     Killing the commutator leaves two relations on (x, y): x^d = 1 with
-    d = gcd(N, s - 1), and y^2 equal to 1 for the split kind, x^n for
-    the nonsplit kind.  Smith form of the 2x2 relation matrix gives the
+    d = gcd(N, s - 1), and y^2 = x^n (for the split kind d | N = n, so
+    that is y^2 = 1).  Smith form of the 2x2 relation matrix gives the
     invariant factors; trivial ones are dropped.
     """
-    c = g.n if g.kind == NONSPLIT else 0
-    d1 = gcd(gcd(g.d, c), 2)
+    d1 = gcd(gcd(g.d, g.n), 2)
     d2 = 2 * g.d // d1
     return tuple(t for t in sorted((d1, d2)) if t > 1)
 

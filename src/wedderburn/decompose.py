@@ -11,18 +11,21 @@ relations of the group before it is returned.
 Per irreducible factor f of x^N - 1 (with root xi of order l) the shape
 of the component depends on where f sits:
 
-  f | x^d - 1, split kind      two one-dimensional components, y -> +-1
-  f | x^d - 1, nonsplit kind   the quotient K_f[y]/(y^2 - xi^n); splits
+  f | x^d - 1                  the quotient K_f[y]/(y^2 - xi^n); splits
                                into two one-dimensional components when
-                               xi^n is a square in K_f, otherwise one
-                               component over the quadratic extension
+                               xi^n is a square in K_f (always for the
+                               split kind, where xi^n = 1 and y -> +-1),
+                               otherwise one component over the quadratic
+                               extension
   f self-involutive, l not | d one 2x2 component over the half field:
                                the plain images conjugated by frame()
   f in a swapped pair          one 2x2 component over K_f: the plain images
 
-The plain images are x -> diag(xi, xi^s), y -> [[0, xi^n], [1, 0]].  The
-one function frame() decides the sigma/eta/theta case split and returns
-the conjugating matrix W; the idempotent constructions read the same W.
+Both kinds read y^2 = x^n, with x^n = 1 for the split kind (N = n), so
+no construction here branches on the kind.  The plain images are
+x -> diag(xi, xi^s), y -> [[0, xi^n], [1, 0]].  The one function frame()
+decides the sigma/eta/theta case split and returns the conjugating
+matrix W; the idempotent constructions read the same W.
 """
 
 from dataclasses import dataclass
@@ -31,9 +34,8 @@ from math import gcd
 from typing import Optional
 
 from .cyclotomic import classify
-from .fields import (FieldElt, NoSquareRoot, ext_field, make_field, mul_order,
-                     padic_valuation, split_prime_power, sqrt_in_field)
-from .groups import SPLIT
+from .fields import (FieldElt, NoSquareRoot, _power, ext_field, make_field,
+                     mul_order, padic_valuation, split_prime_power, sqrt_in_field)
 
 ABELIAN_PART = "abelian"
 SELF_INVOLUTIVE = "self-involutive"
@@ -132,15 +134,9 @@ def mat_mul(A, B):
 
 
 def mat_pow(A, e):
-    assert e >= 1
     F = A[0][0].field
-    A = _unwrap(F, A)
-    out = A
-    for bit in bin(e)[3:]:
-        out = _rep_mul(out, out, F)
-        if bit == "1":
-            out = _rep_mul(out, A, F)
-    return _wrap(F, out)
+    one = _unwrap(F, mat_identity(F, len(A)))
+    return _wrap(F, _power(_unwrap(F, A), e, one, lambda X, Y: _rep_mul(X, Y, F)))
 
 
 def mat_identity(field, n):
@@ -165,12 +161,8 @@ def component_matrices_check(component, g):
     size = len(X)
     if size != component.l:
         return False
-    ident = mat_identity(field, size)
-    if mat_pow(X, g.N) != ident:
-        return False
-    yy = mat_mul(Y, Y)
-    want = ident if g.kind == SPLIT else mat_pow(X, g.n)
-    if yy != want:
+    Xn = mat_pow(X, g.n)
+    if mat_pow(Xn, g.N // g.n) != mat_identity(field, size) or mat_mul(Y, Y) != Xn:
         return False
     if mat_mul(X, Y) != mat_mul(Y, mat_pow(X, g.s)):
         return False
@@ -188,28 +180,17 @@ def _checked(component, g):
 # per-factor constructions
 
 
-def _abelian_split(g, pos, fac, F):
-    """Two one-dimensional components y -> +-1 for f | x^d - 1, split kind."""
-    K = ext_field(F, fac.poly.coeffs)
-    theta = K.gen
-    out = []
-    for sign, tag in ((K.one, "psi+"), (-K.one, "psi-")):
-        src = ComponentSource(ABELIAN_PART, pos, None, fac.root_order, tag)
-        out.append(_checked(WedderburnComponent(
-            1, fac.degree, 1, src, ((theta,),), ((sign,),)), g))
-    return out
-
-
-def _abelian_nonsplit(g, pos, fac, F):
-    """Components of K_f[y]/(y^2 - xi^n) for f | x^d - 1, nonsplit kind.
+def _abelian(g, pos, fac, F):
+    """Components of K_f[y]/(y^2 - xi^n) for f | x^d - 1, either kind.
 
     The quotient splits exactly when xi^n is a square in K_f; the two
-    roots give the y-images.  Otherwise it is the quadratic extension,
-    one component with m doubled.
+    roots give the y-images, +-1 for the split kind, where xi^n = 1.
+    Otherwise it is the quadratic extension, one component with m doubled.
+    xi has order l, so xi^n is xi^(n mod l).
     """
     K = ext_field(F, fac.poly.coeffs)
     theta = K.gen
-    target = theta ** g.n
+    target = theta ** (g.n % fac.root_order)
     try:
         root = sqrt_in_field(target)
     except NoSquareRoot:
@@ -328,15 +309,15 @@ def _self_involutive(g, pos, fac, F):
 
 
 def decompose(g):
-    """The simple components of F_qG; the per-factor constructions follow g.kind."""
-    per_abelian = _abelian_split if g.kind == SPLIT else _abelian_nonsplit
+    """The simple components of F_qG, one construction per kind of factor
+    of x^N - 1; the same constructions serve both kinds of group."""
     p, a = split_prime_power(g.q)
     F = make_field(p, a)
     report = classify(F, g.N, g.s)
     comps = []
     for pos, fac in enumerate(report.factors):
         if fac.divides_x_d_minus_1:
-            comps.extend(per_abelian(g, pos, fac, F))
+            comps.extend(_abelian(g, pos, fac, F))
         elif fac.self_involutive:
             comps.extend(_self_involutive(g, pos, fac, F))
         elif fac.partner > pos:

@@ -464,14 +464,16 @@ def _padd(a, b, F):
 
 
 def _power(a, e, one, mul):
-    """a^e for e >= 0 by square and multiply, with the product mul."""
-    r = one
-    while e:
-        if e & 1:
+    """a^e for e >= 0 by square and multiply from the high bit, with the
+    product mul: one for e = 0, else bitlength - 1 squarings and
+    popcount - 1 products by a."""
+    if not e:
+        return one
+    r = a
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
             r = mul(r, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
     return r
 
 
@@ -632,8 +634,8 @@ def sqrt_in_field(a):
     Tonelli-Shanks on reps and are then canonicalized.
     """
     F = a.field
-    if a.is_zero():
-        return F.zero
+    if a.is_zero() or a == F.one:  # key (1, 0, ...) sorts before (p - 1, 0, ...)
+        return a
     if F.char == 2:
         return a ** (F.order // 2)
     if F._pow(a.rep, (F.order - 1) // 2) != F.one.rep:

@@ -7,7 +7,9 @@ orthogonal non-central idempotents.  Every one of them is the factor
 idempotent e_f times an element P(x) + Q(x) y, built by _pair: (P, Q)
 comes from a closed form where one exists, and where it does not from
 the matrix unit E11 carried through the component's conjugation frame
-and lifted through e_f.
+and lifted through e_f.  noncentral_pair picks the route from the
+factor's root alone (xi^n = 1 or not, then q mod 4 and the 2-parts),
+so one entry point serves both kinds of group.
 
 Every constructed element is run through the table-based oracle before
 it is returned: idempotency, orthogonality, centrality or the lack of
@@ -22,7 +24,6 @@ from typing import Optional
 from .cyclotomic import classify
 from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul
 from .fields import ext_field, padic_valuation, sqrt_in_field
-from .groups import NONSPLIT, SPLIT
 from .oracle import algebra_for, are_orthogonal, is_central, is_idempotent
 from .polys import (NotInvertible, Poly, ext_gcd, formal_derivative,
                     inverse_mod, is_irreducible, powmod, reversed_coeffs,
@@ -196,36 +197,6 @@ def _pair(g, pos, P, Q):
     return e1, e2
 
 
-def _split_style_pair(g, report, pos):
-    """e_f * [l(x)(1 - y) + 1] and its complement; valid whenever the
-    factor's root satisfies xi^n = 1 (the split kind, and the x^n - 1
-    side of the nonsplit kind)."""
-    ell = _ell(g, report.factors[pos].poly)
-    return _pair(g, pos, ell + Poly.one(ell.field), -ell)
-
-
-def noncentral_split(f, g):
-    """The two non-central orthogonal idempotents under a self-involutive
-    factor away from x^d - 1, split kind."""
-    assert g.kind == SPLIT
-    A = algebra_for(g)
-    report = classify(A.field, g.N, g.s)
-    pos = _locate(report, f)
-    fac = report.factors[pos]
-    if fac.divides_x_d_minus_1 or not fac.self_involutive:
-        raise PreconditionFactor(
-            f"{f!r} does not carry a 2x2 component of its own")
-    return _split_style_pair(g, report, pos)
-
-
-def _one_plus_by_pair(g, report, pos, beta_poly):
-    """e_f * (l(x) + 1)(1 + B(x) y) and complement, for the closed-form
-    branches on the x^n + 1 side."""
-    F = beta_poly.field
-    ell1 = _ell(g, report.factors[pos].poly) + Poly.one(F)
-    return _pair(g, pos, ell1, (ell1 * beta_poly) % x_power_minus_one(F, g.N))
-
-
 def by_interpolation(g, fac):
     """Whether the non-central pair under this self-involutive factor is
     built by interpolation rather than a closed form: the x^n + 1 side
@@ -298,38 +269,43 @@ def _case3_printed_check(g, report, pos, e1, e2, notes):
         notes.append(f"printed third-case form is not an idempotent ({tag})")
 
 
-def noncentral_nonsplit(f, g, notes=None):
-    """The non-central orthogonal pair under a self-involutive factor of
-    x^n + 1, nonsplit kind.
+def noncentral_pair(f, g, notes=None):
+    """The non-central orthogonal pair under a self-involutive factor f of
+    x^N - 1 away from x^d - 1, for either kind of group.
 
-    Where by_interpolation holds (q = 3 mod 4, 2-part of n inside q + 1)
-    the pair is built by interpolation and the printed closed form is
-    only reported on, via notes.  Otherwise a closed form applies: the
-    scalar with square -1 in F_q when q = 1 mod 4, and x^{n/2} when
-    q = 3 mod 4.  Every case is covered: a 2-part of n beyond q + 1
+    The route is read from the factor's root xi.  Where xi^n = 1 (every
+    split-kind factor, and the x^n - 1 side of the nonsplit kind) the pair
+    is e_f [l(x)(1 - y) + 1] and its complement.  On the x^n + 1 side,
+    where by_interpolation holds (q = 3 mod 4, 2-part of n inside q + 1),
+    the pair is built by interpolation and the printed closed form is only
+    reported on, via notes.  Otherwise e_f (l(x) + 1)(1 + B(x) y) applies,
+    with B the scalar with square -1 in F_q when q = 1 mod 4, and x^{n/2}
+    when q = 3 mod 4.  Every case is covered: a 2-part of n beyond q + 1
     forces 4 | deg f, hence s = q^{deg/2} = 1 mod 4, which that form needs.
     """
-    assert g.kind == NONSPLIT
-    A = algebra_for(g)
-    F = A.field
+    F = algebra_for(g).field
     report = classify(F, g.N, g.s)
     pos = _locate(report, f)
     fac = report.factors[pos]
-    if (fac.divides_x_d_minus_1 or not fac.self_involutive
-            or g.n % fac.root_order == 0):
+    if fac.divides_x_d_minus_1 or not fac.self_involutive:
         raise PreconditionFactor(
-            f"{f!r} is not a self-involutive factor on the x^n + 1 side")
+            f"{f!r} does not carry a 2x2 component of its own")
     if by_interpolation(g, fac):
         e1, e2 = noncentral_via_interpolation(g, pos)
         if notes is not None:
             _case3_printed_check(g, report, pos, e1, e2, notes)
         return e1, e2
+    ell = _ell(g, f)
+    ell1 = ell + Poly.one(F)
+    if g.n % fac.root_order == 0:
+        return _pair(g, pos, ell1, -ell)
+    full = x_power_minus_one(F, g.N)
     if g.q % 4 == 1:
-        beta = sqrt_in_field(-F.one)
-        return _one_plus_by_pair(g, report, pos, Poly(F, (beta,)))
-    assert g.s % 4 == 1, "a 2-part of n beyond q + 1 forces s = 1 mod 4"
-    return _one_plus_by_pair(g, report, pos,
-                             powmod(Poly.x(F), g.n // 2, x_power_minus_one(F, g.N)))
+        B = Poly(F, (sqrt_in_field(-F.one),))
+    else:
+        assert g.s % 4 == 1, "a 2-part of n beyond q + 1 forces s = 1 mod 4"
+        B = powmod(Poly.x(F), g.n // 2, full)
+    return _pair(g, pos, ell1, (ell1 * B) % full)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +318,7 @@ def complete_idempotent_set(g, decomposition, include_noncentral=False,
     component split into its non-central orthogonal pair.
 
     Pair components split as (e_f, e_f*) for the two paired factors; the
-    self-involutive ones go through the split-style closed form in the
-    sigma-tau frame and through noncentral_nonsplit otherwise.
+    self-involutive ones go through noncentral_pair.
     """
     entries = list(_central_entries(g, decomposition))
     if include_noncentral:
@@ -357,10 +332,8 @@ def complete_idempotent_set(g, decomposition, include_noncentral=False,
                 pair = (_factor_idempotent(g, pos),
                         _factor_idempotent(g, comp.source.partner))
                 _verify_pair(entries[i].element, *pair)
-            elif comp.source.frame == "sigma-tau":
-                pair = _split_style_pair(g, report, pos)
             else:
-                pair = noncentral_nonsplit(report.factors[pos].poly, g, notes=notes)
+                pair = noncentral_pair(report.factors[pos].poly, g, notes=notes)
             entries.append(IdempotentEntry(f"{parent}/1", pair[0], NONCENTRAL, parent))
             entries.append(IdempotentEntry(f"{parent}/2", pair[1], NONCENTRAL, parent))
     return IdempotentSet(g, tuple(entries))

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import ExtField, PrimeField, make_field, split_prime_power
-from .groups import NONSPLIT, element_index, group_elements
+from .fields import ExtField, PrimeField, _power, make_field, split_prime_power
+from .groups import element_index, group_elements
 from .polys import Poly
 
 
@@ -43,15 +43,14 @@ def _structure_tensor(field):
 def multiplication_table(group):
     """table[a, b] = c with g_a g_b = g_c, indexed as in group_elements.
 
-    From the law x^i y^j * x^k y^l = x^(i + s^j k + c [j = l = 1]) y^(j + l mod 2),
-    with c = n for nonsplit groups and 0 for split ones.
+    From the law x^i y^j * x^k y^l = x^(i + s^j k + n [j = l = 1]) y^(j + l mod 2):
+    y^2 = x^n for both kinds, since x^n = 1 when N = n.
     """
     N = group.N
     i = np.tile(np.arange(N), 2)
     j = np.repeat(np.arange(2), N)
-    c = group.n if group.kind == NONSPLIT else 0
     power = (i[:, None] + np.where(j, group.s, 1)[:, None] * i
-             + c * (j[:, None] & j))
+             + group.n * (j[:, None] & j))
     return ((j[:, None] ^ j) * N + power % N).astype(np.intp)
 
 
@@ -176,13 +175,7 @@ class AlgebraElement:
         return multiply(self, other)
 
     def __pow__(self, k):
-        assert k >= 1
-        out = self
-        for bit in bin(k)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _power(self, k, self.algebra.one(), multiply)
 
     def is_zero(self):
         return not self.coeffs.any()

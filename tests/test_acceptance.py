@@ -27,7 +27,7 @@ from wedderburn.fields import make_field, ord_mod, padic_valuation, split_prime_
 from wedderburn.groups import NONSPLIT, SPLIT, make_group
 from wedderburn.idempotents import (
     complete_idempotent_set,
-    noncentral_split,
+    noncentral_pair,
     noncentral_via_interpolation,
 )
 from wedderburn.oracle import (
@@ -173,7 +173,7 @@ def test_noncentral_pair_verified_inline():
     rep = classify(_field(3), 4, 3)
     pos, fac = next((i, fac) for i, fac in enumerate(rep.factors)
                     if fac.self_involutive and not fac.divides_x_d_minus_1)
-    e1, e2 = noncentral_split(fac.poly, g)
+    e1, e2 = noncentral_pair(fac.poly, g)
     assert is_idempotent(e1) and is_idempotent(e2)
     assert are_orthogonal(e1, e2)
     assert not is_central(e1) and not is_central(e2)
@@ -182,7 +182,7 @@ def test_noncentral_pair_verified_inline():
     parent = next(cents[i].element for i, c in enumerate(dec.components)
                   if c.l == 2)
     assert e1 + e2 == parent
-    assert set(noncentral_via_interpolation(g, pos)) == {e1, e2}
+    assert noncentral_via_interpolation(g, pos) == (e1, e2)
 
 
 # ---------------------------------------------------------------------------

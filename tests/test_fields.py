@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wedderburn import fields
 from wedderburn.fields import (
     DegreeZero,
     FieldElt,
@@ -149,6 +150,18 @@ def test_sqrt_examples():
     r = sqrt_in_field(-F9.one)
     assert r * r == -F9.one
     assert mul_order(r) == 4
+
+
+def test_sqrt_of_one_is_one_without_tonelli(monkeypatch):
+    # the canonical root of 1 is 1: key (1, 0, ...) sorts before (p - 1, 0, ...)
+    def no_tonelli(F, a):
+        raise AssertionError("sqrt(1) reached Tonelli-Shanks")
+
+    monkeypatch.setattr(fields, "_tonelli", no_tonelli)
+    F9 = make_field(3, 2)
+    for F in (make_field(3, 1), make_field(1000003, 1), F9,
+              ext_field(F9, first_irreducible(F9, 2))):
+        assert sqrt_in_field(F.one) == F.one
 
 
 def test_square_counts():

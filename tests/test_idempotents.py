@@ -22,8 +22,7 @@ from wedderburn.idempotents import (
     central_idempotents,
     complete_idempotent_set,
     cyclic_idempotent,
-    noncentral_nonsplit,
-    noncentral_split,
+    noncentral_pair,
     noncentral_via_interpolation,
 )
 from wedderburn.oracle import (
@@ -130,7 +129,7 @@ def test_central_count_matches_components():
 
 def test_noncentral_split_d8_pin():
     f = Poly.from_ints(F3, (1, 0, 1))
-    e1, e2 = noncentral_split(f, D8)
+    e1, e2 = noncentral_pair(f, D8)
     A = algebra_for(D8)
     F = A.field
     # (x^2-1)(2-y): hand expansion (1+2x^2) + (1+2x^2) y
@@ -145,17 +144,17 @@ def test_noncentral_split_d8_pin():
 
 def test_noncentral_split_rejects_wrong_factors():
     with pytest.raises(PreconditionFactor):
-        noncentral_split(Poly.from_ints(F3, (-1, 1)), D8)  # x-1 sits on x^d-1
+        noncentral_pair(Poly.from_ints(F3, (-1, 1)), D8)  # x-1 sits on x^d-1
     g = make_group(SPLIT, 5, 4, 11)
     F11 = make_field(11, 1)
     rep = classify(F11, 5, 4)
     moved = next(f for f in rep.factors if f.partner is not None)
     with pytest.raises(PreconditionFactor):
-        noncentral_split(moved.poly, g)
+        noncentral_pair(moved.poly, g)
 
 
 def test_noncentral_split_matches_interpolation():
-    e1, e2 = noncentral_split(Poly.from_ints(F3, (1, 0, 1)), D8)
+    e1, e2 = noncentral_pair(Poly.from_ints(F3, (1, 0, 1)), D8)
     assert noncentral_via_interpolation(D8, 2) == (e1, e2)
 
 
@@ -208,7 +207,7 @@ def test_noncentral_nonsplit_q8():
     rep = classify(F3, 4, 3)
     pos = next(i for i, f in enumerate(rep.factors) if not f.divides_x_d_minus_1)
     notes = []
-    e1, e2 = noncentral_nonsplit(rep.factors[pos].poly, Q8, notes=notes)
+    e1, e2 = noncentral_pair(rep.factors[pos].poly, Q8, notes=notes)
     A = algebra_for(Q8)
     assert is_idempotent(e1) and is_idempotent(e2)
     assert are_orthogonal(e1, e2)
@@ -228,7 +227,7 @@ def test_noncentral_nonsplit_printed_form_other_frame_instance():
         if f.self_involutive and not f.divides_x_d_minus_1 and g.n % f.root_order != 0
     )
     notes = []
-    e1, e2 = noncentral_nonsplit(rep.factors[pos].poly, g, notes=notes)
+    e1, e2 = noncentral_pair(rep.factors[pos].poly, g, notes=notes)
     assert is_idempotent(e1) and are_orthogonal(e1, e2)
     assert any("different frame" in note for note in notes)
 
@@ -243,8 +242,8 @@ def test_noncentral_nonsplit_beta_formula_case():
         i for i, f in enumerate(rep.factors)
         if f.self_involutive and not f.divides_x_d_minus_1
     )
-    pair = noncentral_nonsplit(rep.factors[pos].poly, g)
-    assert set(pair) == set(noncentral_via_interpolation(g, pos))
+    pair = noncentral_pair(rep.factors[pos].poly, g)
+    assert noncentral_via_interpolation(g, pos) == pair
     for e in pair:
         assert is_idempotent(e) and not is_central(e)
 
@@ -263,7 +262,25 @@ def test_noncentral_nonsplit_xn_half_formula_case():
         ]
         assert positions
         for pos in positions:
-            pair = noncentral_nonsplit(rep.factors[pos].poly, g)
+            pair = noncentral_pair(rep.factors[pos].poly, g)
+            assert noncentral_via_interpolation(g, pos) == pair, (n, s, q, pos)
+
+
+def test_noncentral_pair_on_the_xn_minus_1_side_of_a_nonsplit_group():
+    # a self-involutive factor away from x^d - 1 whose root has xi^n = 1:
+    # the split-style form e_f [l(1 - y) + 1] in the sigma-tau frame, equal
+    # in order to the interpolated pair
+    for n, s, q in ((4, 3, 3), (12, 11, 5)):
+        g = make_group(NONSPLIT, n, s, q)
+        rep = classify(make_field(q, 1), 2 * n, s)
+        positions = [
+            i for i, f in enumerate(rep.factors)
+            if f.self_involutive and not f.divides_x_d_minus_1 and n % f.root_order == 0
+        ]
+        assert positions
+        for pos in positions:
+            assert frame(g, rep.factors[pos])[0] == "sigma-tau"
+            pair = noncentral_pair(rep.factors[pos].poly, g)
             assert noncentral_via_interpolation(g, pos) == pair, (n, s, q, pos)
 
 

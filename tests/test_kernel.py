@@ -24,14 +24,16 @@ digit p - 1 (which fills a slot to its bound) and divisions of 50 quotient
 steps or more.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import (gf_div, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem,
                                      gf_strip)
 
-from wedderburn.fields import (ExtField, _pdivmod, _pmul, _ptrim, ext_field, first_irreducible,
-                               is_irreducible_over, make_field)
+from wedderburn.fields import (ExtField, _pdivmod, _pmul, _power, _ptrim, ext_field,
+                               first_irreducible, is_irreducible_over, make_field)
 from wedderburn.polys import Poly
 
 PRIMES = (2, 3, 5, 13, 1000003)
@@ -122,22 +124,32 @@ def test_ext_pow_matches_gf_pow_mod(case, e):
     assert _kernel(got, E.base) == gf_pow_mod(_sympy(a), e, M, p, ZZ)
 
 
-def _next_monic(f, p):
-    """The monic polynomial after f (high first) when its lower coefficients
-    count up as a base-p number, wrapping around."""
-    f, i = list(f), len(f) - 1
-    f[i] = (f[i] + 1) % p
-    while not f[i] and i > 1:
-        i -= 1
-        f[i] = (f[i] + 1) % p
-    return f
+def test_power_matches_pow_with_the_fewest_products():
+    # from the high bit: bitlength - 1 squarings and popcount - 1 products
+    # by a, so nothing at all for e <= 1
+    M = 1000003
+    for a in (0, 1, 2, 12345, M - 1):
+        for e in range(258):
+            calls = []
+
+            def mul(u, v):
+                calls.append(None)
+                return u * v % M
+
+            assert _power(a, e, 1, mul) == pow(a, e, M)
+            assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
 
 
 @st.composite
 def monic_over_prime(draw):
     """p and a monic polynomial over F_p of degree 1..12, high first: a
-    random one, a product of two, or the first irreducible at or after a
-    random one."""
+    random one, a product of two, or an irreducible one.
+
+    The irreducible one redraws the low coefficients of a random one, from
+    a drawn seed, until it passes: about one in m monic polynomials of
+    degree m is irreducible, so that takes about m tests at any p.
+    Stepping the constant term instead can take p tests, since no binomial
+    x^m + c is irreducible for many m (Lidl-Niederreiter, Thm 3.75)."""
     p = draw(st.sampled_from((2, 3, 13, 1000003)))
 
     def monic(top):
@@ -149,8 +161,10 @@ def monic_over_prime(draw):
         g = monic(11)
         return p, gf_mul(g, monic(13 - len(g)), p, ZZ)
     f = monic(12)
-    while kind == "irreducible" and not gf_irreducible_p(f, p, ZZ):
-        f = _next_monic(f, p)
+    if kind == "irreducible":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        while not gf_irreducible_p(f, p, ZZ):
+            f = [1] + [rng.randrange(p) for _ in f[1:]]
     return p, f
 
 
