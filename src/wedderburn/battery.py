@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
 
+import numpy as np
+
 from . import oracle
 from .cyclotomic import classify
 from .decompose import SELF_INVOLUTIVE, component_matrices_check, decompose
@@ -210,9 +212,13 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
 
     def counts():
         dec = state["decomposition"]
-        assert dec.component_count == oracle.component_count(A)
-        assert sum(c.multiplicity * c.m for c in dec.components) == \
-            oracle.center_dimension(A)
+        got, want = dec.component_count, oracle.component_count(A)
+        if got != want:
+            raise AssertionError(f"{got} components, the oracle counts {want}")
+        got = sum(c.multiplicity * c.m for c in dec.components)
+        want = oracle.center_dimension(A)
+        if got != want:
+            raise AssertionError(f"center dimension {got}, the oracle's is {want}")
 
     def relations():
         for comp in state["decomposition"].components:
@@ -221,14 +227,25 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
     def centrals():
         ids = complete_idempotent_set(g, state["decomposition"],
                                       include_noncentral=include_noncentral)
-        elements = [e.element for e in ids.centrals()]
-        assert len(elements) == state["decomposition"].component_count
-        assert oracle.sums_to_one(elements)
-        for i, u in enumerate(elements):
-            assert oracle.is_idempotent(u)
-            assert oracle.is_central(u)
-            for v in elements[i + 1:]:
-                assert oracle.are_orthogonal(u, v)
+        entries, count = ids.centrals(), state["decomposition"].component_count
+        if len(entries) != count:
+            raise AssertionError(f"{len(entries)} centrals for {count} components")
+        elements = [e.element for e in entries]
+        if not oracle.sums_to_one(elements):
+            raise AssertionError("the centrals do not sum to 1")
+        for e in entries:
+            if e.element.is_zero():
+                raise AssertionError(f"{e.label} is zero")
+            if not oracle.is_central(e.element):
+                raise AssertionError(f"{e.label} is not central")
+        # every ordered pair: z_i z_i = z_i and z_i z_j = 0
+        B, Z = oracle.coefficient_stack(elements)
+        P = oracle.products(B, Z, Z, pairs=True)
+        wrong = (P != np.eye(len(Z), dtype=np.int64)[:, :, None, None] * Z).any(axis=(2, 3))
+        if wrong.any():
+            i, j = np.argwhere(wrong)[0]
+            zi, zj = entries[i].label, entries[j].label
+            raise AssertionError(f"{zi} {zj} is not {zi if i == j else 0}")
         state["idempotents"] = ids
 
     def noncentrals():

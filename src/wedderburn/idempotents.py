@@ -24,7 +24,8 @@ from typing import Optional
 from .cyclotomic import classify
 from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul
 from .fields import ext_field, padic_valuation, sqrt_in_field
-from .oracle import algebra_for, are_orthogonal, is_central, is_idempotent
+from .oracle import (algebra_for, are_orthogonal, coefficient_stack, is_central,
+                     is_idempotent, products, sums_to_one)
 from .polys import (NotInvertible, Poly, ext_gcd, formal_derivative,
                     inverse_mod, is_irreducible, powmod, reversed_coeffs,
                     x_power_minus_one)
@@ -96,7 +97,7 @@ def cyclic_idempotent(f, N):
     deriv = formal_derivative(reversed_coeffs(f)).reps
     padded = deriv + (F.zero.rep,) * (f.degree - len(deriv))
     closed = scale * Poly.from_reps(F, padded[::-1]) * h % full
-    g, _, v = ext_gcd(f, h)
+    g, _, v = ext_gcd(f, h % f)   # v = 1/h mod f; the identity stays below deg f
     assert g.is_one()
     bezout = v * h % full
     assert closed == bezout, "the two idempotent constructions disagree"
@@ -125,13 +126,14 @@ def _locate(report, f):
 # central sets
 
 
-def _verify_central_set(A, elements):
-    total = A.zero()
-    for e in elements:
-        assert is_idempotent(e), "central candidate is not idempotent"
-        assert is_central(e), "central candidate is not central"
-        total = total + e
-    assert total == A.one(), "central idempotents do not sum to 1"
+def _verify_central_set(elements):
+    A, Z = coefficient_stack(elements)
+    if not (products(A, Z, Z) == Z).all():
+        raise AssertionError("central candidate is not idempotent")
+    if not all(map(is_central, elements)):
+        raise AssertionError("central candidate is not central")
+    if not sums_to_one(elements):
+        raise AssertionError("central idempotents do not sum to 1")
 
 
 def _central_entries(g, decomposition):
@@ -155,7 +157,7 @@ def _central_entries(g, decomposition):
             elt = e_f
         entries.append(IdempotentEntry(label, elt, CENTRAL))
     assert len(entries) == decomposition.component_count
-    _verify_central_set(A, [e.element for e in entries])
+    _verify_central_set([e.element for e in entries])
     return entries
 
 

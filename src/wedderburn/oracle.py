@@ -4,22 +4,34 @@ Nothing in here knows the structure theory: no factor of x^N - 1, no
 factor field, no frame.  Elements are coefficient vectors indexed by the
 group's normal forms, products go through the multiplication table, the
 center comes out of exact linear algebra mod p, and the number of simple
-components is read off the fixed space of the p-power map on the center.  The decomposition machinery is tested against
-this module, never the other way around.
+components is read off the fixed space of the p-power map on the center.
+The decomposition machinery is tested against this module, never the
+other way around.
 
 Coefficients of F_{p^m} are stored componentwise as integers mod p in a
 numpy array of shape (|G|, m), so all the heavy loops are vectorized but
-every operation stays exact.  Products and the centrality test gather
-through division tables: left[a, k] = b with ab = k, right[k, c] = b with bk = c.
+every operation stays exact.  The centrality test and the center gather
+through division tables: left[a, k] = b with ab = k, right[k, c] = b with
+bk = c.  Every product goes through one kernel, products, on stacks of
+shape (k, |G|, m): each U[i] becomes its left-multiplication matrix, read
+from right, and meets the other stack in one integer matmul, either all
+pairs U[i] V[j] or elementwise U[i] V[i].  The matmul sums are reduced mod
+p in blocks short enough for int64 at the given p.  multiply is its k = 1
+case; the battery's orthogonality check and the p-th powers of
+component_count are whole stacks.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .fields import ExtField, PrimeField, _power, make_field, split_prime_power
 from .groups import element_index, group_elements
 from .polys import Poly
+
+
+# the most int64 values any intermediate of products may hold
+_CHUNK = 1 << 18
 
 
 class GroupMismatch(TypeError):
@@ -70,8 +82,10 @@ class GroupAlgebra:
         self.p = field.char
         self.m = field.degree
         self.size = group.order
-        # multiply's largest int64 intermediates are m (p-1)^2 and |G| (p-1); the
-        # threshold is kept as it was, m^2 (p-1)^3 >= m (p-1)^2 for m > 1
+        # products' largest int64 intermediates are the entries of UT, up to
+        # m (p-1)^2, and its matmul sums, which _matmul_mod blocks below 2^63 for
+        # every p.  The threshold is kept as it was: m^2 (p-1)^3 >= m (p-1)^2 for
+        # m > 1, and no sum of |G| terms is left to need |G| (p-1) < 2^63
         p1, m = self.p - 1, self.m
         entry = p1 * p1 * (m * m * p1 if m > 1 else 1)
         if max(entry, self.size * p1) >= 2 ** 63:
@@ -101,7 +115,14 @@ class GroupAlgebra:
             (table[self.right, idx[:, None]] == idx).all(), "table is not a Latin square"
         self.left.setflags(write=False)
         self.right.setflags(write=False)
-        self.tensor = _structure_tensor(field)
+        # products reads left-multiplication matrices through this gather:
+        # L[(c, y), (b, x)] = UT[a, x, y] with ab = c, where a = right[b, c]
+        # and UT[a, x, y] sits at (a m + x) m + y of UT's flat rows
+        c, y, b, x = np.ix_(idx, range(m), idx, range(m))
+        self.gather = ((self.right[b, c] * m + x) * m + y).reshape(n * m, n * m)
+        self.gather.setflags(write=False)
+        # tensor[a] is the F_p-matrix of x -> w^a x, flattened to m^2 entries
+        self.tensor = _structure_tensor(field).reshape(m, m * m)
         self._center = None  # center_basis fills this in on its first call
 
     def zero(self):
@@ -209,19 +230,69 @@ class AlgebraElement:
 
 
 def multiply(u, v):
-    """Exact product in the group algebra, gathered through the left table.
-
-    UT[a] is the F_p-matrix of x -> u_a x, so P[a, k] is the term u_a v_{left[a, k]}
-    of coefficient k; each is reduced mod p before the |G| terms are summed, so
-    no intermediate leaves int64 within GroupAlgebra's bound.
-    """
+    """Exact product in the group algebra: the one-element case of products."""
     u._check(v)
     A = u.algebra
-    m, p = A.m, A.p
-    UT = (u.coeffs @ A.tensor.reshape(m, m * m)).reshape(A.size, m, m) % p
-    P = np.take(v.coeffs, A.left, axis=0) @ UT
-    P %= p
-    return AlgebraElement(A, P.sum(axis=0))
+    return AlgebraElement(A, products(A, u.coeffs[None], v.coeffs[None])[0])
+
+
+def coefficient_stack(elements):
+    """(A, U): the one algebra the elements share, taken from the elements,
+    and their coefficients stacked to shape (k, |G|, m)."""
+    first = elements[0]
+    for e in elements:
+        first._check(e)
+    return first.algebra, np.stack([e.coeffs for e in elements])
+
+
+def _matmul_mod(L, V, p):
+    """L @ V mod p for entries in [0, p), summed in blocks of at most
+    (2^63 - 1) // (p - 1)^2 terms, so no sum leaves int64."""
+    step = (2 ** 63 - 1) // (p - 1) ** 2
+    acc = L[..., :step] @ V[..., :step, :] % p
+    for s in range(step, L.shape[-1], step):
+        acc += L[..., s:s + step] @ V[..., s:s + step, :] % p
+        acc %= p
+    return acc
+
+
+def products(A, U, V, pairs=False):
+    """Products in A of coefficient stacks U and V of shape (k, |G|, m),
+    entries in [0, p).
+
+    pairs=False: P[i] = U[i] V[i], shape (k, |G|, m), where a stack of
+    length 1 is broadcast against the other.  pairs=True: P[i, j] = U[i] V[j],
+    shape (len(U), len(V), |G|, m).  Each U[i] becomes its left-multiplication
+    matrix L, gathered from the F_p-matrices UT[a] of x -> u_a x, and L is
+    applied to V by one integer matmul.  The stack, and past |G| m = 512 the
+    rows of L, are chunked so that no intermediate holds more than _CHUNK
+    values.
+    """
+    n, m, p = A.size, A.m, A.p
+    nm, ku, kv = n * m, len(U), len(V)
+    if pairs:
+        k, cols = ku, kv
+        V = V.reshape(kv, nm).T
+    elif ku == kv or ku == 1 or kv == 1:
+        k, cols = max(ku, kv), 1
+        V = V.reshape(kv, nm, 1)
+    else:
+        raise ValueError(f"stacks of {ku} and {kv} elements do not broadcast")
+    out = np.empty((k, cols, nm) if pairs else (k, nm, 1), dtype=np.int64)
+    width = max(nm, cols)                       # values in a row of L and of L @ V
+    rows = min(nm, _CHUNK // width) or 1
+    chunk = _CHUNK // (rows * width) or 1
+    for i in range(0, k, chunk):
+        UT = (U[i:i + chunk] if ku > 1 else U) @ A.tensor % p
+        UT = UT.reshape(len(UT), n * m * m)
+        Vi = V if pairs or kv == 1 else V[i:i + chunk]
+        for r in range(0, nm, rows):
+            P = _matmul_mod(UT[:, A.gather[r:r + rows]], Vi, p)
+            if pairs:
+                out[i:i + chunk, :, r:r + rows] = P.transpose(0, 2, 1)
+            else:
+                out[i:i + chunk, r:r + rows] = P
+    return out.reshape((k, cols, n, m) if pairs else (k, n, m))
 
 
 def is_idempotent(u):
@@ -234,7 +305,7 @@ def is_central(u):
     Row k of u gathered through left is e_k u, and through right u e_k.
     """
     c, A = u.coeffs, u.algebra
-    return bool((np.take(c, A.left, axis=0) == np.take(c, A.right, axis=0)).all())
+    return bool((c[A.left] == c[A.right]).all())
 
 
 def are_orthogonal(u, v):
@@ -263,17 +334,16 @@ def _rref_mod(A, p):
     pivots = []
     rank = 0
     for c in range(cols):
-        col = R[rank:, c]
-        nz = np.flatnonzero(col)
+        nz = R[rank:, c].nonzero()[0]
         if nz.size == 0:
             continue
         r = rank + nz[0]
         if r != rank:
             R[[rank, r]] = R[[r, rank]]
         R[rank] = R[rank] * pow(int(R[rank, c]), p - 2, p) % p
-        mask = np.flatnonzero(R[:, c])
+        mask = R[:, c].nonzero()[0]
         mask = mask[mask != rank]
-        R[mask] = (R[mask] - np.outer(R[mask, c], R[rank])) % p
+        R[mask] = (R[mask] - R[mask, c, None] * R[rank]) % p
         pivots.append(c)
         rank += 1
         if rank == rows:
@@ -287,10 +357,8 @@ def _nullspace_mod(A, p):
     cols = A.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-R[r, fc]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -R[:len(pivots), free] % p
     return basis
 
 
@@ -299,9 +367,10 @@ def _solve_mod(A, B, p):
     cols = A.shape[1]
     aug = np.concatenate([A, B], axis=1) % p
     R, pivots = _rref_mod(aug, p)
-    assert pivots == list(range(cols)), "coefficient matrix lost rank"
-    assert not R[cols:, cols:].any() if R.shape[0] > cols else True, \
-        "inconsistent linear system"
+    if pivots != list(range(cols)):
+        raise AssertionError("coefficient matrix lost rank")
+    if R[cols:, cols:].any():
+        raise AssertionError("inconsistent linear system")
     return R[:cols, cols:].copy()
 
 
@@ -316,19 +385,24 @@ def center_basis(algebra):
     F_q-dimension.  Each constraint equates two coordinates, so B stays the
     0/1 indicator matrix of a partition of G, one 1 per row, and no product
     below sums more than two nonzero terms of size 1: exact in int64 for
-    every p.  Computed once per algebra and kept on it, as a tuple.
+    every p.  So B's rows are unit vectors, and one gather of their labels
+    finds the next e_k whose constraint B does not yet meet.  Computed once
+    per algebra and kept on it, as a tuple.
     """
     A = algebra
     if A._center is not None:
         return A._center
     n, p = A.size, A.p
     B = np.eye(n, dtype=np.int64)
-    for k in range(n):
-        M = (B[A.left[k]] - B[A.right[k]]) % p
-        if M.any():
-            B = (B @ _nullspace_mod(M, p)) % p
-            if B.shape[1] == 0:
-                break
+    k = 0
+    while k < n:
+        label = B.argmax(axis=1)
+        unmet = (label[A.left[k:]] != label[A.right[k:]]).any(axis=1).nonzero()[0]
+        if not unmet.size:
+            break
+        k += int(unmet[0])
+        B = B @ _nullspace_mod((B[A.left[k]] - B[A.right[k]]) % p, p) % p
+        k += 1
     out = []
     for col in B.T:
         c = np.zeros((n, A.m), dtype=np.int64)
@@ -347,22 +421,16 @@ def component_count(algebra):
 
     The p-power map is F_p-linear on the (commutative) center and fixes a
     copy of F_p in each simple summand and nothing more, so the component
-    count is the dimension of its fixed space over F_p.
+    count is the dimension of its fixed space over F_p.  The F_p-basis
+    w^t z of the center is raised to the p-th power as one stack.
     """
     A = algebra
-    p, m = A.p, A.m
-    zbasis = center_basis(algebra)
-    vecs = []
-    for z in zbasis:
-        for t in range(m):
-            c = np.zeros((A.size, m), dtype=np.int64)
-            # multiplying by w^t shifts the F_p-coordinates through the tensor
-            c[:, :] = np.einsum("im,mk->ik", z.coeffs,
-                                A.tensor[:, t, :]) % p
-            vecs.append(AlgebraElement(A, c))
-    Z = np.stack([v.coeffs.ravel() for v in vecs], axis=1)
-    W = np.stack([(v ** p).coeffs.ravel() for v in vecs], axis=1)
-    F = _solve_mod(Z, W, p)
+    n, p, m = A.size, A.p, A.m
+    Z = np.stack([z.coeffs for z in center_basis(algebra)])
+    # multiplying by w^t shifts the F_p-coordinates through the tensor
+    vecs = np.einsum("dim,mtk->dtik", Z, A.tensor.reshape(m, m, m)).reshape(-1, n, m) % p
+    powers = _power(vecs, p, None, partial(products, A))  # one is read only at e = 0
+    F = _solve_mod(vecs.reshape(len(vecs), -1).T, powers.reshape(len(vecs), -1).T, p)
     K = F.shape[0]
     fixed = _nullspace_mod((F - np.eye(K, dtype=np.int64)) % p, p)
     return fixed.shape[1]

@@ -10,8 +10,8 @@ and packed F_p[t]/(M), the field's own operations only over towers), so
 where a caller reads a coefficient: `coeffs`, `lead()` and `coeff(i)`.
 """
 
-from .fields import (ExtField, FieldElt, _padd, _pdivmod, _pmul, _power, _ptrim,
-                     is_irreducible_over)
+from .fields import (ExtField, FieldElt, _padd, _pdivmod, _pgcd, _pmul, _power,
+                     _ptrim, is_irreducible_over)
 
 
 class FieldMismatch(TypeError):
@@ -320,7 +320,7 @@ def s_involution(f, s, n):
         out[j] = F._add(out[j], c)
     g = Poly.from_reps(F, out)
     assert not g.is_zero(), "substitution killed the polynomial, impossible"
-    d, _, _ = ext_gcd(xn1, g)
+    d = Poly.from_reps(F, _pgcd(xn1.reps, g.reps, F))
     assert d.degree == f.degree, "s-involution changed the degree"
     return d.monic()
 

@@ -7,10 +7,18 @@ pieces are checked on small inputs so failures localize.
 
 import concurrent.futures
 import os
+import inspect
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import wedderburn
+from wedderburn import battery, oracle
 from wedderburn.battery import (
     CHECK_CLASSES,
     DEFAULT_MAX_N,
@@ -25,6 +33,7 @@ from wedderburn.battery import (
 )
 from wedderburn.decompose import decompose
 from wedderburn.groups import NONSPLIT, SPLIT, group_elements, group_mult, make_group
+from wedderburn.idempotents import CENTRAL, IdempotentEntry
 
 
 def test_instance_enumeration_matches_independent_count():
@@ -186,3 +195,82 @@ def test_run_battery_rejects_jobs_below_one():
             run_battery(keys, jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             run_battery([], jobs=jobs)
+
+
+# Defects of the central set of nonsplit:n=4,s=3 over F_3 (z0..z6), each with
+# the message of the batched check that catches it once the sum check is
+# stubbed out.  In characteristic 3 a swap that keeps every central an
+# idempotent cannot keep the sum, so the unstubbed grade may fail earlier.
+CENTRAL_DEFECTS = {
+    # z0 + z1 is a central idempotent, but (z0 + z1) z1 = z1
+    "non-orthogonal idempotent": (lambda z: [z[0] + z[1], *z[1:]], "z0 z1 is not 0"),
+    # (-z0)^2 = z0; z1 - z0 keeps the sum at 1
+    "non-idempotent": (lambda z: [-z[0], z[1] - z[0], *z[2:]], "z0 z0 is not z0"),
+    # z0 added twice: once more at the end, or in place of z1
+    "central added twice": (lambda z: [*z, z[0]], "8 centrals for 7 components"),
+    "central listed twice": (lambda z: [z[0], z[0], *z[2:]], "z0 z1 is not 0"),
+    # sums to 1, idempotent and orthogonal, but z1 = 0 and z0 is not primitive
+    "zero": (lambda z: [z[0] + z[1], z[1] - z[1], *z[2:]], "z1 is zero"),
+}
+
+
+def _with_centrals(real, defect):
+    """complete_idempotent_set, as real builds it, with defect applied to the
+    list of central elements, relabelled z0, z1, ..."""
+    def patched(g, dec, include_noncentral=True):
+        ids = real(g, dec, include_noncentral=include_noncentral)
+        elements = defect([e.element for e in ids.centrals()])
+        entries = [IdempotentEntry(f"z{i}", u, CENTRAL) for i, u in enumerate(elements)]
+        return replace(ids, entries=(*entries, *ids.noncentrals()))
+
+    return patched
+
+
+@pytest.mark.parametrize("name", list(CENTRAL_DEFECTS))
+def test_central_grade_catches_each_defect(monkeypatch, name):
+    defect, message = CENTRAL_DEFECTS[name]
+    monkeypatch.setattr(battery, "complete_idempotent_set",
+                        _with_centrals(battery.complete_idempotent_set, defect))
+
+    def status():
+        return dict(check_instance(NONSPLIT, 4, 3, 3).checks)["central-idempotents"]
+
+    assert status().startswith("fail")
+    monkeypatch.setattr(oracle, "sums_to_one", lambda elements: True)
+    assert status() == f"fail: AssertionError: {message}"
+
+
+def test_component_count_grade_catches_a_corrupted_power_stack(monkeypatch):
+    real = oracle._power
+
+    def corrupted(a, e, one, mul):
+        out = real(a, e, one, mul)
+        if isinstance(out, np.ndarray):    # the stack of p-th powers
+            out = out.copy()
+            out[0, 0, 0] = (out[0, 0, 0] + 1) % 3
+        return out
+
+    monkeypatch.setattr(oracle, "_power", corrupted)
+    status = dict(check_instance(NONSPLIT, 4, 3, 3).checks)["component-count"]
+    assert status.startswith("fail: AssertionError")
+
+
+def test_central_grade_fails_under_python_O():
+    # python -O strips assert statements; the grade raises AssertionError itself
+    code = "\n".join([
+        "from dataclasses import replace",
+        "from wedderburn import battery, oracle",
+        "from wedderburn.idempotents import CENTRAL, IdempotentEntry",
+        inspect.getsource(_with_centrals),
+        "battery.complete_idempotent_set = _with_centrals(",
+        "    battery.complete_idempotent_set, lambda z: [z[0] + z[1], *z[1:]])",
+        "oracle.sums_to_one = lambda elements: True",
+        "report = battery.check_instance('nonsplit', 4, 3, 3)",
+        "print(__debug__, dict(report.checks)['central-idempotents'])",
+    ])
+    src = str(Path(wedderburn.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False fail: AssertionError: z0 z1 is not 0"

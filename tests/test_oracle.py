@@ -6,6 +6,8 @@ between independent code paths.
 """
 
 import random
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,27 +187,38 @@ def algebra_elements(draw, groups, count):
     return out
 
 
-def _schoolbook(u, v):
-    """u v one term at a time, from group_mult and FieldElt arithmetic."""
-    A = u.algebra
-    F, g = A.field, A.group
+@lru_cache(maxsize=None)
+def _law(group):
+    """table[a][b] = index of g_a g_b, from group_mult and element_index."""
+    elems = group_elements(group)
+    return [[element_index(group, *group_mult(group, a, b)) for b in elems]
+            for a in elems]
 
-    def elt(row):
-        return F.elt(int(row[0])) if A.m == 1 else F.elt([int(t) for t in row])
 
-    acc = [F.zero] * A.size
-    for a, ga in enumerate(A.elements):
-        for b, gb in enumerate(A.elements):
-            k = element_index(g, *group_mult(g, ga, gb))
-            acc[k] = acc[k] + elt(u.coeffs[a]) * elt(v.coeffs[b])
-    return np.array([c.key() for c in acc])
+def _reference_product(A, u, v):
+    """u v from coefficient arrays, one term at a time in Python ints: the
+    group law above, and F_q's own product for the coefficients when m > 1."""
+    F, p, law = A.field, A.p, _law(A.group)
+    acc = [[0] * A.m for _ in range(A.size)]
+    for a, row in enumerate(law):
+        x = [int(t) for t in u[a]]
+        if not any(x):
+            continue
+        for b, k in enumerate(row):
+            y = [int(t) for t in v[b]]
+            if A.m == 1:
+                acc[k][0] += x[0] * y[0]
+            else:
+                term = (F.elt(x) * F.elt(y)).key()
+                acc[k] = [s + t for s, t in zip(acc[k], term)]
+    return np.array([[c % p for c in row] for row in acc], dtype=np.int64)
 
 
 @settings(max_examples=60, deadline=None)
 @given(algebra_elements(PRODUCT_GROUPS, 2))
 def test_multiply_matches_schoolbook_product(uv):
     u, v = uv
-    assert (multiply(u, v).coeffs == _schoolbook(u, v)).all()
+    assert (multiply(u, v).coeffs == _reference_product(u.algebra, u.coeffs, v.coeffs)).all()
 
 
 def _class_sums(A):
@@ -289,3 +302,65 @@ def test_center_is_computed_once_per_algebra():
         assert component_count(A) == comps
         # a second algebra on the same group computes its own
         assert center_basis(GroupAlgebra(g, make_field(3, 1))) is not basis
+
+
+# q = 5, 9 and 25, and a prime where |G| = 10 products of (p - 1)^2 ~ 1e18
+# overflow int64 unless the sum is blocked (blocks of 9 terms at this p)
+KERNEL_GROUPS = [
+    make_group(SPLIT, 6, 5, 5), make_group(NONSPLIT, 3, 5, 5),
+    make_group(NONSPLIT, 5, 9, 9), make_group(SPLIT, 4, 3, 9),
+    make_group(SPLIT, 6, 5, 25),
+    make_group(SPLIT, 5, 4, 1000000007),
+]
+
+
+@st.composite
+def kernel_stacks(draw):
+    """(A, U, V, pairs): stacks of k in {1, 2, 7}, half of them with every
+    entry near p - 1; for the elementwise form one side may be a length-1
+    stack."""
+    A = algebra_for(draw(st.sampled_from(KERNEL_GROUPS)))
+    pairs = draw(st.booleans())
+    k = draw(st.sampled_from([1, 2, 7]))
+    lengths = draw(st.sampled_from([(k, k), (1, k), (k, 1)]))
+
+    def stack(count):
+        digit = draw(st.sampled_from([st.integers(0, A.p - 1),
+                                      st.integers(max(0, A.p - 3), A.p - 1)]))
+        return np.array(draw(st.lists(digit, min_size=count * A.size * A.m,
+                                      max_size=count * A.size * A.m)),
+                        dtype=np.int64).reshape(count, A.size, A.m)
+
+    return A, stack(lengths[0]), stack(lengths[1]), pairs
+
+
+def _reference_products(A, U, V, pairs):
+    if pairs:
+        return np.array([[_reference_product(A, u, v) for v in V] for u in U])
+    k = max(len(U), len(V))
+    return np.array([_reference_product(A, U[i % len(U)], V[i % len(V)])
+                     for i in range(k)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_stacks(), st.sampled_from([None, 40, 300]))
+def test_products_match_the_group_law(stacks, chunk):
+    # chunk shrinks the oracle's intermediate cap, so that small stacks cross
+    # stack-chunk and row-chunk boundaries
+    A, U, V, pairs = stacks
+    with mock.patch.object(oracle, "_CHUNK", chunk or oracle._CHUNK):
+        got = oracle.products(A, U, V, pairs=pairs)
+    assert (got == _reference_products(A, U, V, pairs)).all()
+
+
+def test_products_cross_a_chunk_boundary():
+    # |G| m = 96: a chunk holds 2^18 // 96^2 = 28 left-multiplication
+    # matrices, so 30 elements take two chunks in both forms
+    A = algebra_for(make_group(NONSPLIT, 24, 23, 5))
+    rng = np.random.default_rng(5)
+    U = rng.integers(0, A.p, size=(30, A.size, A.m))
+    V = rng.integers(0, A.p, size=(30, A.size, A.m))
+    assert (1 << 18) // (A.size * A.m) ** 2 < len(U)
+    for u_, v_, pairs in ((U, V, False), (U[:1], V, False), (U, V[:2], True)):
+        got = oracle.products(A, u_, v_, pairs=pairs)
+        assert (got == _reference_products(A, u_, v_, pairs)).all()
