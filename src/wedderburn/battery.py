@@ -258,20 +258,19 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
             by_parent.setdefault(entry.parent, []).append(entry.element)
         two_by_two = [(i, comp) for i, comp in enumerate(dec.components)
                       if comp.l == 2]
-        assert len(by_parent) == len(two_by_two)
+        if len(by_parent) != len(two_by_two):
+            raise AssertionError(f"{len(by_parent)} pairs for {len(two_by_two)} 2x2 components")
         for i, comp in two_by_two:
             parent = ids.centrals()[i]
             e1, e2 = by_parent[parent.label]
-            assert oracle.is_idempotent(e1) and oracle.is_idempotent(e2)
-            assert oracle.are_orthogonal(e1, e2)
-            assert e1 + e2 == parent.element
-            assert not oracle.is_central(e1) and not oracle.is_central(e2)
+            oracle.check_pair(parent.element, e1, e2, parent.label)
             fac = report.factors[comp.source.position]
             if (cross_check and comp.source.kind == SELF_INVOLUTIVE
                     and not by_interpolation(g, fac)):
                 other = noncentral_via_interpolation(g, comp.source.position)
-                assert tuple(other) == (e1, e2), \
-                    f"interpolation disagrees with the closed form at {fac.poly!r}"
+                if tuple(other) != (e1, e2):
+                    raise AssertionError(
+                        f"interpolation disagrees with the closed form at {fac.poly!r}")
 
     def perlis_walker():
         dec = state["decomposition"]

@@ -155,7 +155,11 @@ def mat_inv(A):
 
 def component_matrices_check(component, g):
     """True iff the generator images define a representation of g with
-    entries in the declared degree-m subfield."""
+    entries in the declared degree-m subfield of their field K.
+
+    Membership is z^(q^m) = z, tested only when the subfield is proper;
+    an m that does not divide [K:F_q] fails.
+    """
     X, Y = component.image_x, component.image_y
     field = X[0][0].field
     size = len(X)
@@ -166,8 +170,13 @@ def component_matrices_check(component, g):
         return False
     if mat_mul(X, Y) != mat_mul(Y, mat_pow(X, g.s)):
         return False
+    # the entries lie in the one field K that mat_mul accepted
     bound = g.q ** component.m
-    return all(z ** bound == z for row in X + Y for z in row)
+    if field.order == bound:  # m = [K:F_q]: K is the subfield
+        return True
+    # a proper subfield needs m | [K:F_q], that is q^m - 1 | |K| - 1
+    return ((field.order - 1) % (bound - 1) == 0
+            and all(z ** bound == z for row in X + Y for z in row))
 
 
 def _checked(component, g):

@@ -7,9 +7,10 @@ canonicalized, and no randomness is used anywhere.
 An element's rep is plain data: an int 0..p-1 over F_p, and over an
 extension a tuple of its base field's reps, so ints over a prime base and
 nested tuples for towers.  All arithmetic runs on reps, through the dense
-polynomial kernel at the bottom of this module: over F_p and F_p[t]/(M) a
-product is one multiply of ints packed by Kronecker substitution, and the
-field's own operations run only over towers.  FieldElt is the public
+polynomial kernel at the bottom of this module: in an extension of F_p or
+of F_p[u]/(N) a product is one multiply of ints packed by Kronecker
+substitution, and the field's own operations run only over a tower on a
+tower.  FieldElt is the public
 wrapper only: it pairs a rep with its field for callers that read an
 element, and the library's own loops (Poly coefficients, the matrix
 helpers of wedderburn.decompose, Tonelli-Shanks) stay on reps and wrap
@@ -18,6 +19,7 @@ only what they return.
 
 import operator
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 
 
@@ -237,8 +239,10 @@ class ExtField:
         self._m = tuple(c.rep for c in self.modulus)
         # p over a prime base, for inline arithmetic on int reps
         self._p = base.char if isinstance(base, PrimeField) else 0
-        if self._p:
-            _, self._pack, self._unpack, self._packed_mul = _packing(self._p, self._m, 1)
+        # over F_p and F_p[u]/(N) a product is one packed multiply
+        self._packs = _packs(base)
+        if self._packs:
+            _, self._pack, self._unpack, self._packed_mul = _packing(base, self._m, 1)
         zero, one = base.zero.rep, base.one.rep
         self.zero = FieldElt(self, (zero,) * self.deg)
         self.one = FieldElt(self, (one,) + (zero,) * (self.deg - 1))
@@ -274,12 +278,12 @@ class ExtField:
         return tuple([-x % p for x in a] if p else map(self.base._neg, a))
 
     def _mul(self, a, b):
-        if self._p:
+        if self._packs:
             return self._unpack(self._pack(a) * self._pack(b))
         return tuple(_pdivmod(_pmul(a, b, self.base), self._m, self.base)[1])
 
     def _pow(self, a, k):
-        if self._p:
+        if self._packs:
             return self._unpack(_power(self._pack(a), k, 1, self._packed_mul))
         return _power(a, k, self.one.rep, self._mul)
 
@@ -314,11 +318,19 @@ class ExtField:
 # ---------------------------------------------------------------------------
 # the rep kernel: dense polynomials over a field F as lists of F's reps, low
 # coefficient first.  One multiply (_pmul), one division (_pdivmod) and one
-# square and multiply (_power).  Over F_p and F_p[t]/(M) a product is one
-# multiply of packed ints; ExtField products and Rabin's powers mod a fixed
-# M over F_p fold back by _packing's table of t^k mod M, and a division takes
-# one step per quotient coefficient.  Only over a tower do they run through
-# F's own _add/_mul/_neg.
+# square and multiply (_power).  A product in F[t]/(M) over F = F_p or
+# F_p[u]/(N) is one multiply of ints packed by Kronecker substitution, folded
+# back by _packing's table of t^i u^j mod (M, N): every ExtField whose base
+# is one of those, and Ben-Or's powers mod a candidate M.  Polynomial
+# products and divisions over such an F[t]/(M) pack each coefficient too.
+# Only over a tower on a tower, such as a quadratic extension of a factor
+# field over F_9, does a product take a division, and only there do the
+# kernel's loops run through F's own _add/_mul/_neg.
+
+
+def _packs(F):
+    """True iff F is F_p or F_p[u]/(N), a base that _packing takes."""
+    return isinstance(F, PrimeField) or isinstance(F.base, PrimeField)
 
 
 def residues(F, m, start=0):
@@ -342,9 +354,10 @@ def residues(F, m, start=0):
 def _pmul(a, b, F):
     """The product of a and b, of length len(a) + len(b) - 1 ([] if either is []).
 
-    Over F_p and F_p[t]/(M), one multiply of the operands packed into ints
-    with coefficient i in slot i, unpacked by mask and shift; a slot is w
-    bits over F_p, 2m - 1 of _packing's slots over F_p[t]/(M).
+    Over F_p, one multiply of the operands packed into ints with
+    coefficient i in slot i, unpacked by mask and shift.  Over an F[t]/(M)
+    whose base packs, the same with each coefficient packed by _packing,
+    a slot as wide as one of its products.
     """
     if not a or not b:
         return []
@@ -355,20 +368,12 @@ def _pmul(a, b, F):
         mask = (1 << w) - 1
         x = _kron(a, w) * _kron(b, w)
         return [(x >> i & mask) % p for i in range(0, n * w, w)]
-    if F._p:
-        w, pack, unpack, _ = _packing(F._p, F._m, terms)
-        w *= 2 * F.deg - 1
+    if F._packs:
+        w, pack, unpack, _ = _packing(F.base, F._m, terms)
         mask = (1 << w) - 1
         x = _kron(list(map(pack, a)), w) * _kron(list(map(pack, b)), w)
         return [unpack(x >> i & mask) for i in range(0, n * w, w)]
-    lb, add, mul, zero = len(b), F._add, F._mul, F.zero.rep  # a tower
-    out = [zero] * n
-    for i, x in enumerate(a):
-        if x != zero:
-            out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
-    return out
-
-
+    lb, add, mul, zero = len(b), F._add, F._mul, F.zero.rep  # a tower on a tower
 def _kron(cs, w):
     """The int with cs[i] at bit i*w: cs packed into one int, w bits a slot."""
     x = 0
@@ -397,9 +402,9 @@ def _pdivmod(a, b, F):
     add, mul, neg, zero = F._add, F._mul, F._neg, F.zero.rep
     inv = None if b[-1] == F.one.rep else F._pow(b[-1], F.order - 2)
     q = [zero] * max(0, len(a) - n)
-    if F._p:
+    if F._packs:
         # an r entry is a digit of a plus at most n packed products
-        _, pack, unpack, _ = _packing(F._p, F._m, n + 1)
+        _, pack, unpack, _ = _packing(F.base, F._m, n + 1)
         r, b = list(map(pack, a)), list(map(pack, b[:n]))
         for k in range(len(r) - 1, n - 1, -1):
             c = unpack(r[k])
@@ -418,42 +423,70 @@ def _pdivmod(a, b, F):
 
 
 @lru_cache(maxsize=None)
-def _packing(p, M, terms):
-    """Kronecker packing for F_p[t]/(M), keyed on p and the monic M (m + 1
-    ints, low first): (w, pack, unpack, mul) for sums of `terms` products.
+def _packing(F, M, terms):
+    """Kronecker packing for F[t]/(M) over F = F_p or F_p[u]/(N), keyed on F
+    and the monic M (m + 1 reps of F, low first): (width, pack, unpack, mul)
+    for sums of `terms` products, width the bits one product spans.
 
-    pack lays a rep's m digits w bits apart in one int.  A product has
-    2m - 1 slots, so a sum of `terms` of them at most terms*m(p-1)^2 a slot.
-    unpack keeps the m low slots and adds c*fold_k for each higher slot k,
-    with c that slot mod p and fold_k = t^k mod M (m <= k <= 2m - 2) packed
-    into one int: at most (m-1)(p-1)^2 more a slot.  w holds both, so no
-    slot carries, and unpack reduces each low slot mod p.  Rabin's test
-    calls the uncached function, one table per candidate M, and keeps none.
+    With k = [F:F_p] (1 over F_p), pack lays digit j of a rep's
+    coefficient i at slot i(2k - 1) + j, w bits a slot.  A product then
+    has (2m - 1)(2k - 1) slots, slot (i, j) the coefficient of t^i u^j: a
+    sum of at most mk products of digits, so of terms*mk(p-1)^2 for a sum
+    of `terms` products.  unpack keeps the slots with i < m and j < k and
+    adds c*fold for each other slot, with c that slot mod p and fold the
+    packed t^i u^j mod (M, N): at most (p-1)^2 more a slot per fold.  w
+    holds both, so no slot carries, and unpack reduces each kept slot mod
+    p.  Ben-Or's test calls the uncached function, one table per candidate
+    M, and keeps none.
     """
-    m = len(M) - 1
-    w = ((terms * m + m - 1) * (p - 1) ** 2).bit_length()
-    mask, low, shifts = (1 << w) - 1, (1 << m * w) - 1, range(0, m * w, w)
+    p, k, m = F.char, F.degree, len(M) - 1
+    span = 2 * k - 1
+    slots = (2 * m - 1) * span
+    keep = [i * span + j for i in range(m) for j in range(k)]
+    high = sorted(set(range(slots)) - set(keep))
+    w = ((terms * m * k + len(high)) * (p - 1) ** 2).bit_length()
+    mask, shifts = (1 << w) - 1, [s * w for s in keep]
+    low = sum(mask << s for s in shifts)
+    prime = isinstance(F, PrimeField)
 
     def pack(c):
-        return sum(map(operator.lshift, c, shifts))
+        return sum(map(operator.lshift, c if prime else chain.from_iterable(c), shifts))
 
-    folds, r = [], [0] * (m - 1) + [1]
-    for _ in range(m - 1):  # r = t^(k-1) mod M -> t^k mod M = t*r - r[-1]*M
-        r = [(x - r[-1] * y) % p for x, y in zip([0, *r[:-1]], M)]
-        folds.append(pack(r))
+    def reduced(x):  # x with each kept slot mod p
+        return sum(map(operator.lshift, [(x >> s & mask) % p for s in shifts], shifts))
+
+    zero, one = F.zero.rep, F.one.rep
+    powers = [one]  # u^j in F, j < 2k - 1
+    for _ in range(span - 1):
+        powers.append(F._mul(powers[-1], F.gen.rep))
+    tm = [F._neg(c) for c in M[:-1]]  # t^m mod M
+    lead = [pack([F._mul(c, u) for c in tm]) for u in powers]  # u^j t^m mod M
+    # slot i(2k - 1) + j -> t^i u^j mod (M, N), packed
+    fold = {i * span + j: pack([zero] * i + [powers[j]] + [zero] * (m - 1 - i))
+            for i in range(m) for j in range(k, span)}
+    for j, x in enumerate(lead):  # t^i u^j mod M from t^(i-1) u^j mod M
+        fold[m * span + j] = x
+        for i in range(m + 1, 2 * m - 1):
+            x <<= span * w  # times t: the digits c of t^m fold back by lead
+            c = x >> m * span * w
+            x = reduced((x & low) + sum((c >> d * w & mask) * f for d, f in enumerate(lead[:k])))
+            fold[i * span + j] = x
+    folds = [(s * w, fold[s]) for s in high]
+
+    def digits(x):  # the m*k digits of the reduced x, coefficient by coefficient
+        y = x & low
+        for s, fold in folds:
+            y += (x >> s & mask) % p * fold
+        return [(y >> s & mask) % p for s in shifts]
 
     def unpack(x):
-        y = x & low
-        x >>= m * w
-        for fold in folds:
-            y += (x & mask) % p * fold
-            x >>= w
-        return tuple([(y >> s & mask) % p for s in shifts])
+        d = digits(x)
+        return tuple(d) if prime else tuple(zip(*[iter(d)] * k))
 
     def mul(x, y):  # on packed elements, for a run of products
-        return pack(unpack(x * y))
+        return sum(map(operator.lshift, digits(x * y), shifts))
 
-    return w, pack, unpack, mul
+    return slots * w, pack, unpack, mul
 
 
 def _padd(a, b, F):
@@ -493,32 +526,33 @@ def _pgcd(a, b, F):
 
 
 def is_irreducible_over(F, f):
-    """Rabin's irreducibility test for the monic f over the field F.
+    """Ben-Or's irreducibility test for the monic f over the field F.
 
-    f is a list of F's element reps, low coefficient first, of degree >= 1.
-    Over F_p the powers x^(p^k) mod f are packed products.
+    f is a list of F's element reps, low coefficient first, of degree
+    m >= 1.  f is reducible iff it has an irreducible factor of degree
+    i <= m/2, that is iff gcd(f, x^(q^i) - x) != 1 for some such i, with
+    q = |F| (M. Ben-Or, FOCS 1981; Gao and Panario, 1997).  Each x^(q^i)
+    mod f is the q-th power of the one before, in packed products over
+    F_p and F_p[u]/(N), and the test stops at the first i with a factor.
     """
     m = len(f) - 1
     if m == 1:
         return True
     zero, one = F.zero.rep, F.one.rep
-    x = (zero, one) + (zero,) * (m - 2)
-    if isinstance(F, PrimeField):
-        _, pack, unpack, mul = _packing.__wrapped__(F.char, tuple(f), 1)
+    if _packs(F):
+        _, pack, unpack, mul = _packing.__wrapped__(F, tuple(f), 1)
     else:  # plain reps, each product reduced by a division
         pack = unpack = tuple
 
         def mul(u, v):
             return tuple(_pdivmod(_pmul(u, v, F), f, F)[1])
 
-    def power(e):
-        return unpack(_power(pack(x), e, pack((one,) + (zero,) * (m - 1)), mul))
-
-    if power(F.order ** m) != x:
-        return False
-    for r in _prime_factors(m):
-        h = power(F.order ** (m // r))
-        diff = [F._add(c, F._neg(xc)) for c, xc in zip(h, x)]
+    h = pack((zero, one) + (zero,) * (m - 2))
+    unit, neg_one = pack((one,) + (zero,) * (m - 1)), F._neg(one)
+    for _ in range(m // 2):
+        h = _power(h, F.order, unit, mul)
+        diff = list(unpack(h))  # x^(q^i) - x
+        diff[1] = F._add(diff[1], neg_one)
         if len(_pgcd(diff, f, F)) != 1:
             return False
     return True
@@ -530,7 +564,7 @@ def first_irreducible(F, m):
     Returned as a tuple of F's elements, low coefficient first.  The
     coefficient vectors (c_{m-1}, ..., c_0) are enumerated as ascending
     base-|F| numbers whose digits follow F's element order: the residues
-    0..p-1 over a prime field, elements() over an extension.  Rabin's test
+    0..p-1 over a prime field, elements() over an extension.  Ben-Or's test
     decides each candidate.  For m >= 2 the first |F| of them are the
     binomials x^m + c, skipped whole when _binomials_reducible(|F|, m).
     """
@@ -611,18 +645,6 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def is_in_subfield(a, k):
-    """True iff a lies in the subfield of index [F:.]/k, i.e. a^(base^k) = a.
-
-    Here base is the order of the field's base of scalars: for an ExtField
-    built over K this tests membership in the degree-k subextension K_k,
-    via the Frobenius fixed-point characterization a^(|K|^k) = a.
-    """
-    F = a.field
-    b = F.base.order if isinstance(F, ExtField) else F.order
-    return a ** (b ** k) == a
 
 
 def sqrt_in_field(a):

@@ -24,7 +24,7 @@ from typing import Optional
 from .cyclotomic import classify
 from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul
 from .fields import ext_field, padic_valuation, sqrt_in_field
-from .oracle import (algebra_for, are_orthogonal, coefficient_stack, is_central,
+from .oracle import (algebra_for, check_pair, coefficient_stack, is_central,
                      is_idempotent, products, sums_to_one)
 from .polys import (NotInvertible, Poly, ext_gcd, formal_derivative,
                     inverse_mod, is_irreducible, powmod, reversed_coeffs,
@@ -181,13 +181,6 @@ def _ell(g, f):
             f"x^(s-1) - 1 not invertible mod {f!r}; upstream misclassification") from exc
 
 
-def _verify_pair(parent, e1, e2):
-    assert is_idempotent(e1) and is_idempotent(e2)
-    assert are_orthogonal(e1, e2)
-    assert e1 + e2 == parent
-    assert not is_central(e1) and not is_central(e2)
-
-
 def _pair(g, pos, P, Q):
     """e1 = e_f * (P(x) + Q(x) y) and its complement e2 = e_f - e1, for
     the factor at position pos; the one builder of every non-central pair
@@ -195,7 +188,7 @@ def _pair(g, pos, P, Q):
     e_f = _factor_idempotent(g, pos)
     e1 = e_f * algebra_for(g).from_polys(P, Q)
     e2 = e_f - e1
-    _verify_pair(e_f, e1, e2)
+    check_pair(e_f, e1, e2, f"f[{pos}]")
     return e1, e2
 
 
@@ -333,7 +326,7 @@ def complete_idempotent_set(g, decomposition, include_noncentral=False,
             if comp.source.kind == PAIR:
                 pair = (_factor_idempotent(g, pos),
                         _factor_idempotent(g, comp.source.partner))
-                _verify_pair(entries[i].element, *pair)
+                check_pair(entries[i].element, *pair, parent)
             else:
                 pair = noncentral_pair(report.factors[pos].poly, g, notes=notes)
             entries.append(IdempotentEntry(f"{parent}/1", pair[0], NONCENTRAL, parent))

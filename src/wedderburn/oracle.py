@@ -17,8 +17,8 @@ shape (k, |G|, m): each U[i] becomes its left-multiplication matrix, read
 from right, and meets the other stack in one integer matmul, either all
 pairs U[i] V[j] or elementwise U[i] V[i].  The matmul sums are reduced mod
 p in blocks short enough for int64 at the given p.  multiply is its k = 1
-case; the battery's orthogonality check and the p-th powers of
-component_count are whole stacks.
+case; the battery's orthogonality check, the four products of
+check_pair and the p-th powers of component_count are whole stacks.
 """
 
 from functools import lru_cache, partial
@@ -310,6 +310,26 @@ def is_central(u):
 
 def are_orthogonal(u, v):
     return (u * v).is_zero() and (v * u).is_zero()
+
+
+def check_pair(parent, e1, e2, label):
+    """Raise AssertionError unless e1 and e2 are orthogonal idempotents,
+    neither central, that sum to parent; the message names them label/1
+    and label/2.  The four products e1 e1, e2 e2, e1 e2 and e2 e1 are one
+    elementwise products call."""
+    names = (f"{label}/1", f"{label}/2")
+    A, U = coefficient_stack([e1, e2])
+    left, right = [0, 1, 0, 1], [0, 1, 1, 0]  # e1 e1, e2 e2, e1 e2, e2 e1
+    want = U[left] * np.array([1, 1, 0, 0])[:, None, None]
+    wrong = (products(A, U[left], U[right]) != want).any(axis=(1, 2))
+    if wrong.any():
+        i, j = left[wrong.argmax()], right[wrong.argmax()]
+        raise AssertionError(f"{names[i]} {names[j]} is not {names[i] if i == j else 0}")
+    if e1 + e2 != parent:
+        raise AssertionError(f"{names[0]} + {names[1]} is not {label}")
+    for name, e in zip(names, (e1, e2)):
+        if is_central(e):
+            raise AssertionError(f"{name} is central")
 
 
 def sums_to_one(elements):

@@ -4,8 +4,9 @@ A Poly keeps its coefficients as reps of its field: `reps` is a trimmed
 little-endian tuple of the field's element reps (ints over F_p, tuples
 over extensions), and the zero polynomial has an empty tuple and degree
 -1.  All operations are exact and run on the reps, products and division
-with remainder on the _p* kernel of wedderburn.fields (int loops over F_p
-and packed F_p[t]/(M), the field's own operations only over towers), so
+with remainder on the _p* kernel of wedderburn.fields (int loops over F_p,
+packed coefficients over F_p[t]/(M) and towers on it, the field's own
+operations only over a tower on a tower), so
 %, ext_gcd, powmod and the rest ride on it.  FieldElts are built only
 where a caller reads a coefficient: `coeffs`, `lead()` and `coeff(i)`.
 """
@@ -326,7 +327,7 @@ def s_involution(f, s, n):
 
 
 def is_irreducible(f):
-    """Rabin's irreducibility test over any finite coefficient field."""
+    """Ben-Or's irreducibility test over any finite coefficient field."""
     if f.degree < 1:
         return False
     return is_irreducible_over(f.field, f.monic().reps)

@@ -197,7 +197,7 @@ def test_run_battery_rejects_jobs_below_one():
             run_battery([], jobs=jobs)
 
 
-# Defects of the central set of nonsplit:n=4,s=3 over F_3 (z0..z6), each with
+# Defects of the central set of nonsplit:n=4,s=3 over F_3 (z0..z4), each with
 # the message of the batched check that catches it once the sum check is
 # stubbed out.  In characteristic 3 a swap that keeps every central an
 # idempotent cannot keep the sum, so the unstubbed grade may fail earlier.
@@ -274,3 +274,59 @@ def test_central_grade_fails_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False fail: AssertionError: z0 z1 is not 0"
+
+
+# Defects of the non-central pairs (e1, e2) of nonsplit:n=4,s=3 over F_3,
+# under the 2x2 components z4, z5 and z6, each with the message of the first
+# pair check that fails, at z4
+PAIR_DEFECTS = {
+    "non-orthogonal": (lambda z, e1, e2: (e1, e1), "z4/1 z4/2 is not 0"),
+    # (-e1)^2 = e1; the second keeps the sum at z
+    "non-idempotent": (lambda z, e1, e2: (-e1, e2 + e1 + e1), "z4/1 z4/1 is not z4/1"),
+    "wrong sum": (lambda z, e1, e2: (e1, e2 - e2), "z4/1 + z4/2 is not z4"),
+    "central": (lambda z, e1, e2: (z, z - z), "z4/1 is central"),
+}
+
+
+def _with_pair(real, defect):
+    """complete_idempotent_set, as real builds it, with defect applied to
+    each non-central pair (e1, e2), given its parent z."""
+    def patched(g, dec, include_noncentral=True):
+        ids = real(g, dec, include_noncentral=include_noncentral)
+        parents = {e.label: e.element for e in ids.centrals()}
+        pairs, entries = ids.noncentrals(), ids.centrals()
+        for a, b in zip(pairs[::2], pairs[1::2]):
+            u, v = defect(parents[a.parent], a.element, b.element)
+            entries += [replace(a, element=u), replace(b, element=v)]
+        return replace(ids, entries=tuple(entries))
+
+    return patched
+
+
+@pytest.mark.parametrize("name", list(PAIR_DEFECTS))
+def test_noncentral_grade_catches_each_defect(monkeypatch, name):
+    defect, message = PAIR_DEFECTS[name]
+    monkeypatch.setattr(battery, "complete_idempotent_set",
+                        _with_pair(battery.complete_idempotent_set, defect))
+    checks = dict(check_instance(NONSPLIT, 4, 3, 3).checks)
+    assert checks["central-idempotents"] == "pass"
+    assert checks["noncentral-splittings"] == f"fail: AssertionError: {message}"
+
+
+def test_noncentral_grade_fails_under_python_O():
+    # python -O strips assert statements; the pair check raises AssertionError itself
+    code = "\n".join([
+        "from dataclasses import replace",
+        "from wedderburn import battery",
+        inspect.getsource(_with_pair),
+        "battery.complete_idempotent_set = _with_pair(",
+        "    battery.complete_idempotent_set, lambda z, e1, e2: (e1, e1))",
+        "report = battery.check_instance('nonsplit', 4, 3, 3)",
+        "print(__debug__, dict(report.checks)['noncentral-splittings'])",
+    ])
+    src = str(Path(wedderburn.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False fail: AssertionError: z4/1 z4/2 is not 0"

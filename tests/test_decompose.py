@@ -1,11 +1,14 @@
 """Decomposition into matrix components with explicit generator images."""
 
+from dataclasses import replace
+
 from wedderburn import oracle
 from wedderburn.decompose import (
     ABELIAN_PART,
     PAIR,
     SELF_INVOLUTIVE,
     WedderburnComponent,
+    _plain_images,
     component_matrices_check,
     decompose,
     theta_frame_scale,
@@ -168,6 +171,30 @@ def test_entry_field_membership_nontrivial_m():
     for row in two.image_x + two.image_y:
         for z in row:
             assert z ** bound == z
+
+
+def test_matrices_check_rejects_entries_outside_the_half_field():
+    # the plain images are a representation over K = F_3(xi) of degree 4,
+    # but xi is not in the half field F_9 that the frame brings them into
+    g = make_group(SPLIT, 5, 4, 3)
+    two = next(c for c in decompose(g).components if c.l == 2)
+    assert (two.source.kind, two.m) == (SELF_INVOLUTIVE, 2)
+    X, Y = _plain_images(g, two.image_x[0][0].field)
+    plain = replace(two, image_x=X, image_y=Y)
+    assert component_matrices_check(replace(plain, m=4), g)
+    assert not component_matrices_check(plain, g)
+
+
+def test_matrices_check_rejects_an_m_that_does_not_divide_the_field_degree():
+    # z^(q^2m) = z holds on all of F_{q^m}, so the power test alone passed m
+    # doubled on every component over its own field
+    g = make_group(SPLIT, 5, 4, 3)
+    for c in decompose(g).components:
+        degree = c.image_x[0][0].field.degree  # [K:F_3]
+        assert component_matrices_check(c, g)
+        for m in range(1, 2 * degree + 1):
+            if degree % m:
+                assert not component_matrices_check(replace(c, m=m), g), (c.source, m)
 
 
 def test_theta_frame_scale_deterministic_and_normed():

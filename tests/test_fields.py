@@ -1,8 +1,12 @@
 """Finite field layer: construction, arithmetic axioms, square roots, orders."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import primefactors
 
 from wedderburn import fields
 from wedderburn.fields import (
@@ -15,8 +19,13 @@ from wedderburn.fields import (
     ZeroInput,
     ext_field,
     _binomials_reducible,
+    _padd,
+    _pdivmod,
+    _pgcd,
+    _pmul,
+    _power,
+    _ptrim,
     first_irreducible,
-    is_in_subfield,
     is_irreducible_over,
     make_field,
     mul_order,
@@ -203,13 +212,6 @@ def test_sqrt_large_field_path():
         assert r == min(r, -r, key=lambda z: z.key())
 
 
-def test_is_in_subfield():
-    F9 = make_field(3, 2)
-    base_image = {a for a in F9.elements() if is_in_subfield(a, 1)}
-    assert len(base_image) == 3
-    assert all(is_in_subfield(a, 2) for a in F9.elements())
-
-
 def test_split_prime_power():
     assert split_prime_power(9) == (3, 2)
     assert split_prime_power(4) == (2, 2)
@@ -263,6 +265,25 @@ def test_element_equality_is_field_scoped():
     assert F1.one != F2.one
 
 
+def _rabin(F, f):
+    """Rabin's irreducibility test, the reference for the library's Ben-Or
+    test: the monic f of degree m >= 1 over F (F's reps, low first) is
+    irreducible iff x^(q^m) = x mod f and gcd(f, x^(q^(m/r)) - x) = 1 for
+    every prime r | m, with q = |F|.  Its products mod f are the kernel's
+    polynomial product and division, which test_kernel checks against sympy
+    and the schoolbook, never the packed products mod f of Ben-Or's test."""
+    m = len(f) - 1
+    x = _pdivmod([F.zero.rep, F.one.rep], f, F)[1]
+    frobenius = [x]  # x^(q^k) mod f for k = 0..m
+    for _ in range(m):
+        frobenius.append(_power(frobenius[-1], F.order, None,
+                                lambda a, b: _pdivmod(_pmul(a, b, F), f, F)[1]))
+    minus_x = [F.zero.rep, F._neg(F.one.rep)]
+    return (_ptrim(frobenius[m], F) == _ptrim(x, F)
+            and all(len(_pgcd(f, _padd(frobenius[m // r], minus_x, F), F)) == 1
+                    for r in primefactors(m)))
+
+
 # fields on which the binomial criterion of first_irreducible is checked
 # against Rabin's test: (field, largest degree m)
 BINOMIAL_FIELDS = ([(make_field(p, 1), 12) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
@@ -280,7 +301,7 @@ def _binomial(F, m, c):
 @pytest.mark.parametrize("F, top", BINOMIAL_FIELDS, ids=repr)
 def test_binomial_criterion_matches_rabin(F, top):
     for m in range(2, top + 1):
-        some = any(is_irreducible_over(F, _binomial(F, m, c)) for c in _field_reps(F))
+        some = any(_rabin(F, _binomial(F, m, c)) for c in _field_reps(F))
         assert _binomials_reducible(F.order, m) == (not some), m
 
 
@@ -293,7 +314,7 @@ def _rabin_scan(F, m):
         for _ in range(m):
             k, d = divmod(k, len(reps))
             digits.append(reps[d])  # c_0 first
-        if is_irreducible_over(F, digits + [F.one.rep]):
+        if _rabin(F, digits + [F.one.rep]):
             return tuple(FieldElt(F, c) for c in digits + [F.one.rep])
 
 
@@ -301,3 +322,33 @@ def _rabin_scan(F, m):
 def test_first_irreducible_matches_a_rabin_scan(F, top):
     for m in range(1, top + 1):
         assert first_irreducible(F, m) == _rabin_scan(F, m), m
+
+
+@pytest.mark.parametrize("F", [make_field(3, 2), make_field(5, 2)], ids=repr)
+def test_ben_or_matches_rabin_on_every_monic_of_degree_at_most_3(F):
+    reps = _field_reps(F)
+    for m in (1, 2, 3):
+        for low in itertools.product(reps, repeat=m):
+            f = [*low, F.one.rep]
+            assert is_irreducible_over(F, f) == _rabin(F, f), f
+
+
+F9 = make_field(3, 2)
+BEN_OR_FIELDS = {"F49": make_field(7, 2), "F8": make_field(2, 3),
+                 "F81/F9": ext_field(F9, first_irreducible(F9, 2))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ben_or_matches_rabin_on_random_polynomials(data):
+    """Random monic polynomials of degree 1..8; the low coefficients of one
+    in three are taken from an irreducible one, redrawn until Rabin passes."""
+    F = BEN_OR_FIELDS[data.draw(st.sampled_from(sorted(BEN_OR_FIELDS)))]
+    reps = _field_reps(F)
+    m = data.draw(st.integers(1, 8))
+    f = data.draw(st.lists(st.sampled_from(reps), min_size=m, max_size=m)) + [F.one.rep]
+    if data.draw(st.integers(0, 2)) == 0:
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        while not _rabin(F, f):
+            f = [rng.choice(reps) for _ in range(m)] + [F.one.rep]
+    assert is_irreducible_over(F, f) == _rabin(F, f)

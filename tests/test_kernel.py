@@ -3,7 +3,7 @@
 sympy shares no code with the library: its gf_* functions take dense lists
 of ints mod p, highest coefficient first, where the kernel takes lists of
 reps lowest first.  Over F_p the kernel's packed multiply and its division
-loop must agree with gf_mul and gf_div, and Rabin's test with
+loop must agree with gf_mul and gf_div, and the irreducibility test with
 gf_irreducible_p on random monic polynomials, on products of two and on
 irreducible ones, of degree <= 12.  An F_p[t]/(M) element's product and
 power must agree with gf_rem(gf_mul(a, b), M) and gf_pow_mod at p in {2,
@@ -14,7 +14,11 @@ short of the fold term fails them.  Over F_9, F_25 and the F_81 tower on
 F_9, where no sympy reference applies, a product must equal the schoolbook
 sum of element products and division must satisfy a = q*b + r with
 deg r < deg b; the keys and reprs of a fixed list of tower elements are
-pinned.
+pinned.  A tower F[t]/(f) over F = F_9 or F_25 packs each coefficient's
+digits too and folds back by a table of t^i u^j mod (f, N): its product
+and power must agree with the schoolbook over F for deg f up to 22, with
+every digit p - 1 half of the time, and a quadratic extension of the F_81
+tower, whose products still take a division, must agree as well.
 
 Over F_p[t]/(M) a polynomial product packs its coefficients into one int
 (Kronecker substitution), each coefficient itself packed, so products and
@@ -32,8 +36,8 @@ from sympy import ZZ
 from sympy.polys.galoistools import (gf_div, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem,
                                      gf_strip)
 
-from wedderburn.fields import (ExtField, _pdivmod, _pmul, _power, _ptrim, ext_field,
-                               first_irreducible, is_irreducible_over, make_field)
+from wedderburn.fields import (ExtField, FieldElt, _pdivmod, _pmul, _power, _ptrim,
+                               ext_field, first_irreducible, is_irreducible_over, make_field)
 from wedderburn.polys import Poly
 
 PRIMES = (2, 3, 5, 13, 1000003)
@@ -319,3 +323,66 @@ def test_tower_keys_and_reprs_are_pinned():
     assert (e[17].inverse().key(), repr(e[17].inverse())) == \
         ((2, 0, 2, 1), "(2) + (2 + 1*t)*u")
     assert ((e[10] ** 7).key(), repr(e[10] ** 7)) == ((2, 0, 2, 2), "(2) + (2 + 2*t)*u")
+
+
+# F[t]/(f) over F = F_9 or F_25 on the one packed product: each slot holds a
+# digit of a coefficient, and the high slots fold back by t^i u^j mod (f, N)
+TOWER_BASES = (F9, make_field(5, 2))
+
+
+def _mulmod(a, b, E):
+    """a b in E = F[t]/(f) by the schoolbook over F."""
+    return tuple(_schoolbook_divmod(_schoolbook_mul(a, b, E.base), E._m, E.base)[1])
+
+
+@st.composite
+def tower_and_reps(draw):
+    """F[t]/(f) for a random monic f over F = F_9 or F_25 of degree m in
+    {1, 2, 5, 8, 12, 22}, and two reps: with every digit p - 1 half of the
+    time, which fills a product's slots to their bound."""
+    F = draw(st.sampled_from(TOWER_BASES))
+    m = draw(st.sampled_from((1, 2, 5, 8, 12, 22)))
+    elts = [z.rep for z in F.elements()]
+    f = draw(st.lists(st.sampled_from(elts), min_size=m, max_size=m)) + [F.one.rep]
+    elt = st.sampled_from(elts)
+    if draw(st.booleans()):
+        elt = st.just((F.char - 1,) * F.degree)
+    a = tuple(draw(st.lists(elt, min_size=m, max_size=m)))
+    b = tuple(draw(st.lists(elt, min_size=m, max_size=m)))
+    return ExtField(F, tuple(FieldElt(F, c) for c in f)), a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(tower_and_reps())
+def test_tower_mul_matches_the_schoolbook(case):
+    E, a, b = case
+    assert E._packs
+    assert E._mul(a, b) == _mulmod(a, b, E)
+    assert E._mul(a, a) == _mulmod(a, a, E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_and_reps(), st.integers(0, 12))
+def test_tower_pow_matches_repeated_products(case, e):
+    E, a, _ = case
+    want = E.one.rep
+    for _ in range(e):
+        want = _mulmod(want, a, E)
+    assert E._pow(a, e) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quadratic_over_the_tower_stays_on_the_division_path(data):
+    # the base of E is the F_81 tower, which does not pack
+    elt = st.sampled_from([z.rep for z in TOWER_ELTS])
+    c0, c1 = data.draw(elt), data.draw(elt)
+    E = ExtField(TOWER, (FieldElt(TOWER, c0), FieldElt(TOWER, c1), TOWER.one))
+    assert not E._packs
+    a, b = data.draw(st.tuples(elt, elt)), data.draw(st.tuples(elt, elt))
+    assert E._mul(a, b) == _mulmod(a, b, E)
+    e = data.draw(st.integers(0, 12))
+    want = E.one.rep
+    for _ in range(e):
+        want = _mulmod(want, a, E)
+    assert E._pow(a, e) == want
