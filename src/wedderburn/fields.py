@@ -374,6 +374,13 @@ def _pmul(a, b, F):
         x = _kron(list(map(pack, a)), w) * _kron(list(map(pack, b)), w)
         return [unpack(x >> i & mask) for i in range(0, n * w, w)]
     lb, add, mul, zero = len(b), F._add, F._mul, F.zero.rep  # a tower on a tower
+    out = [zero] * n
+    for i, x in enumerate(a):
+        if x != zero:
+            out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
+    return out
+
+
 def _kron(cs, w):
     """The int with cs[i] at bit i*w: cs packed into one int, w bits a slot."""
     x = 0

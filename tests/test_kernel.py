@@ -179,9 +179,11 @@ def test_rabin_over_a_prime_field_matches_gf_irreducible_p(case):
     assert is_irreducible_over(make_field(p, 1), f[::-1]) == gf_irreducible_p(f, p, ZZ)
 
 
-# polynomials over F_p[t]/(M) run on the nested packing, and over the
-# tower on the kernel's generic path, through the field's own operations
-EXT_FIELDS = {"F9": F9, "F25": make_field(5, 2), "F81/F9": TOWER}
+# polynomials over F_p[t]/(M) and over the tower run on the nested packing,
+# and over a tower on the tower on the kernel's generic path, through the
+# field's own operations
+EXT_FIELDS = {"F9": F9, "F25": make_field(5, 2), "F81/F9": TOWER,
+              "F81^2/F81/F9": ext_field(TOWER, first_irreducible(TOWER, 2))}
 EXT_ELTS = {name: list(E.elements()) for name, E in EXT_FIELDS.items()}
 
 
