@@ -1,4 +1,5 @@
-"""Finite field layer: construction, arithmetic axioms, square roots, orders."""
+"""Finite field layer: construction, arithmetic axioms, square roots, orders,
+and the irreducibility test and modulus search against Rabin's test."""
 
 import itertools
 import random
