@@ -7,9 +7,10 @@ route to a non-central pair (the split-style closed form, the sqrt(-1) closed
 form for q = 1 mod 4, the xi^{n/2} closed form for q = 3 mod 4 with the
 2-part of n beyond q + 1, as at q = 3 and 11 on nonsplit:n=8,s=9, and
 interpolation in the eta and theta frames), three
-towers over F_9, two factor lattices of splitting degree 16, and the six
-factor lattices of splitting degree 8 to 22 that the benchmark's factor-deep
-workload runs.  The battery digest covers `wedderburn battery --format json`,
+towers over F_9, two quad components over a tower on a tower (at q = 27 and
+343, which `verify` grades, since perfbench.checks takes q = p or 9 only),
+two factor lattices of splitting degree 16, and the six factor lattices of
+splitting degree 8 to 22 that the benchmark's factor-deep workload runs.  The battery digest covers `wedderburn battery --format json`,
 rebuilt from the shared `battery_result` fixture exactly as `cli._emit_json`
 prints it.
 
@@ -24,6 +25,7 @@ import pytest
 from perfbench.checks import check_idempotents
 from wedderburn import cli
 from wedderburn.decompose import SELF_INVOLUTIVE, decompose
+from wedderburn.fields import ExtField
 from wedderburn.groups import make_group, parse_group
 from wedderburn.idempotents import by_interpolation
 
@@ -62,6 +64,14 @@ INSTANCES = (
     (13, "nonsplit:n=3,s=5"),
 )
 
+# q = p^3 with p = 3 mod 4: y^2 = xi^n has no root in the factor field, so
+# the quad component is a quadratic extension of a factor field over F_q, a
+# tower on a tower; n=5,s=9 at q = 27 reaches sigma-tau and eta-omega too
+TOWERS_ON_TOWERS = (
+    (27, "nonsplit:n=5,s=9"),
+    (343, "nonsplit:n=1,s=1"),
+)
+
 # factor only: splitting degree ord_N(q) = 16 on both
 DEEP = (
     (3, "split:n=17,s=16"),
@@ -78,7 +88,7 @@ DEEP = (
 
 CASES = tuple(
     [(cmd, q, grp) for cmd in ("factor", "decompose", "idempotents")
-     for q, grp in INSTANCES]
+     for q, grp in INSTANCES + TOWERS_ON_TOWERS]
     + [("factor", q, grp) for q, grp in DEEP])
 
 
@@ -303,6 +313,18 @@ DIGESTS = {
         "bb01fb3f0a6bfc9cafdcb46705ff99ccd1695b85225c92ac703901fa89990993",
     ('factor', 13, 'split:n=19,s=1'):
         "787a3019375b9bf65bfdad36df568a7dc9a22c38256af66e4e6737f934ac7a12",
+    ('factor', 27, 'nonsplit:n=5,s=9'):
+        "2e3c63e087ce83d6be35f7e52bdd3b149eb6f18949cbc02cffcb62ee3f677c45",
+    ('factor', 343, 'nonsplit:n=1,s=1'):
+        "f5c6e76eda3fcb09a28eafc3cc2dfec1781bd1e727bb40d72a02e03ae1b79ee9",
+    ('decompose', 27, 'nonsplit:n=5,s=9'):
+        "76464675ea7cbab43eb690273c9e6a539fb6b2796539acaa46756b05f9f58ccf",
+    ('decompose', 343, 'nonsplit:n=1,s=1'):
+        "b0e9b68ba56127d289273cf9fecf7df78fde6d75aa88b59f5693a130f2cccd30",
+    ('idempotents', 27, 'nonsplit:n=5,s=9'):
+        "11d061bc78d7bd646b275083488bc0cbefd56771c50afb2f1f375ce93ead8d4f",
+    ('idempotents', 343, 'nonsplit:n=1,s=1'):
+        "441853ca8f5a24de3eb142524806d5757c0e7b6231838d2564c3a30742026096",
 }
 
 BATTERY_DIGEST = "d898472a72c25dff33d9f7e4d803258a42b7d0eae24dc1447e1f522857fe2cf9"
@@ -316,7 +338,8 @@ def test_cli_json_digest(capsys, case):
     assert _sha256(out) == DIGESTS[case]
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if c[0] == "idempotents"],
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] == "idempotents"
+                                  and c[1:] not in TOWERS_ON_TOWERS],
                          ids=lambda c: f"q{c[1]}-{c[2]}")
 def test_idempotents_pass_the_independent_check(capsys, case):
     """perfbench.checks reads only each entry's flat array and shares no code
@@ -325,6 +348,27 @@ def test_idempotents_pass_the_independent_check(capsys, case):
     assert cli.main(argv_for(case)) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert check_idempotents(*parse_group(grp), q, payload) == []
+
+
+@pytest.mark.parametrize("q, grp", TOWERS_ON_TOWERS)
+def test_verify_passes_on_the_towers_on_towers(capsys, q, grp):
+    """perfbench.checks raises on q = 27 and 343, so the library's own seven
+    grades check these instead."""
+    code = cli.main(["verify", "--q", str(q), "--group", grp])
+    grades = capsys.readouterr().out.splitlines()[1:]
+    assert code == cli.EXIT_OK
+    assert [line.split(": ")[1] for line in grades] == ["pass"] * 7
+
+
+def test_corpus_reaches_a_quad_over_a_tower_on_a_tower():
+    """The field of some quad component is a quadratic extension of a factor
+    field whose own base is neither F_p nor F_p[u]/(N)."""
+    bases = set()
+    for q, grp in INSTANCES + TOWERS_ON_TOWERS:
+        for comp in decompose(make_group(*parse_group(grp), q)).components:
+            if comp.source.frame == "quad":
+                bases.add(comp.image_x[0][0].field.base.base)
+    assert any(isinstance(F, ExtField) for F in bases)
 
 
 def test_battery_json_digest(battery_result):
