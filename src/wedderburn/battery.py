@@ -207,7 +207,8 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
 
     def dimension():
         dec = decompose(g)
-        assert dec.dimension_sum == g.order, (dec.dimension_sum, g.order)
+        if dec.dimension_sum != g.order:
+            raise AssertionError((dec.dimension_sum, g.order))
         state["decomposition"] = dec
 
     def counts():
@@ -222,7 +223,8 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
 
     def relations():
         for comp in state["decomposition"].components:
-            assert component_matrices_check(comp, g), comp.source
+            if not component_matrices_check(comp, g):
+                raise AssertionError(comp.source)
 
     def centrals():
         ids = complete_idempotent_set(g, state["decomposition"],
@@ -277,7 +279,8 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
         got = sorted(c.m for c in dec.components if c.l == 1
                      for _ in range(c.multiplicity))
         expected = perlis_walker_degrees(g)
-        assert got == expected, (got, expected)
+        if got != expected:
+            raise AssertionError((got, expected))
 
     def involutivity():
         for fac in report.factors:
@@ -286,7 +289,8 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
             l = fac.root_order
             congruent = (g.s % l == 1 % l
                          or (g.s - g.q ** (fac.degree // 2)) % l == 0)
-            assert congruent == fac.self_involutive, (fac.coset, l)
+            if congruent != fac.self_involutive:
+                raise AssertionError((fac.coset, l))
 
     grade("dimension", dimension)
     grade("component-count", counts, needs=("decomposition",))

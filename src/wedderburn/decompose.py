@@ -145,8 +145,6 @@ def mat_identity(field, n):
 
 
 def mat_inv(A):
-    if len(A) == 1:
-        return ((A[0][0].inverse(),),)
     (a, b), (c, d) = A
     det = a * d - b * c
     di = det.inverse()
@@ -180,8 +178,9 @@ def component_matrices_check(component, g):
 
 
 def _checked(component, g):
-    assert component_matrices_check(component, g), \
-        f"internal: component at position {component.source.position} failed its checks"
+    if not component_matrices_check(component, g):
+        raise AssertionError(
+            f"internal: component at position {component.source.position} failed its checks")
     return component
 
 

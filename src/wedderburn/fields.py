@@ -7,14 +7,12 @@ canonicalized, and no randomness is used anywhere.
 An element's rep is plain data: an int 0..p-1 over F_p, and over an
 extension a tuple of its base field's reps, so ints over a prime base and
 nested tuples for towers.  All arithmetic runs on reps, through the dense
-polynomial kernel at the bottom of this module: in an extension of F_p or
-of F_p[u]/(N) a product is one multiply of ints packed by Kronecker
-substitution, and the field's own operations run only over a tower on a
-tower.  FieldElt is the public
-wrapper only: it pairs a rep with its field for callers that read an
-element, and the library's own loops (Poly coefficients, the matrix
-helpers of wedderburn.decompose, Tonelli-Shanks) stay on reps and wrap
-only what they return.
+polynomial kernel at the bottom of this module: in every extension, over a
+base of any tower depth, a product is one multiply of ints packed by
+Kronecker substitution.  FieldElt is the public wrapper only: it pairs a
+rep with its field for callers that read an element, and the library's own
+loops (Poly coefficients, the matrix helpers of wedderburn.decompose,
+Tonelli-Shanks) stay on reps and wrap only what they return.
 """
 
 import operator
@@ -239,10 +237,8 @@ class ExtField:
         self._m = tuple(c.rep for c in self.modulus)
         # p over a prime base, for inline arithmetic on int reps
         self._p = base.char if isinstance(base, PrimeField) else 0
-        # over F_p and F_p[u]/(N) a product is one packed multiply
-        self._packs = _packs(base)
-        if self._packs:
-            _, self._pack, self._unpack, self._packed_mul = _packing(base, self._m, 1)
+        # a product is one packed multiply
+        _, self._pack, self._unpack, self._packed_mul = _packing(base, self._m, 1)
         zero, one = base.zero.rep, base.one.rep
         self.zero = FieldElt(self, (zero,) * self.deg)
         self.one = FieldElt(self, (one,) + (zero,) * (self.deg - 1))
@@ -278,14 +274,10 @@ class ExtField:
         return tuple([-x % p for x in a] if p else map(self.base._neg, a))
 
     def _mul(self, a, b):
-        if self._packs:
-            return self._unpack(self._pack(a) * self._pack(b))
-        return tuple(_pdivmod(_pmul(a, b, self.base), self._m, self.base)[1])
+        return self._unpack(self._pack(a) * self._pack(b))
 
     def _pow(self, a, k):
-        if self._packs:
-            return self._unpack(_power(self._pack(a), k, 1, self._packed_mul))
-        return _power(a, k, self.one.rep, self._mul)
+        return self._unpack(_power(self._pack(a), k, 1, self._packed_mul))
 
     def _key(self, a):
         return a if self._p else sum(map(self.base._key, a), ())
@@ -318,19 +310,13 @@ class ExtField:
 # ---------------------------------------------------------------------------
 # the rep kernel: dense polynomials over a field F as lists of F's reps, low
 # coefficient first.  One multiply (_pmul), one division (_pdivmod) and one
-# square and multiply (_power).  A product in F[t]/(M) over F = F_p or
-# F_p[u]/(N) is one multiply of ints packed by Kronecker substitution, folded
-# back by _packing's table of t^i u^j mod (M, N): every ExtField whose base
-# is one of those, and Ben-Or's powers mod a candidate M.  Polynomial
-# products and divisions over such an F[t]/(M) pack each coefficient too.
-# Only over a tower on a tower, such as a quadratic extension of a factor
-# field over F_9, does a product take a division, and only there do the
-# kernel's loops run through F's own _add/_mul/_neg.
-
-
-def _packs(F):
-    """True iff F is F_p or F_p[u]/(N), a base that _packing takes."""
-    return isinstance(F, PrimeField) or isinstance(F.base, PrimeField)
+# square and multiply (_power).  A product in F[t]/(M) over any field F is
+# one multiply of ints packed by Kronecker substitution, one slot per digit
+# of F in a box with an axis per level of F (_layout), folded back by
+# _packing's table of t^i times a monomial in the levels' generators mod
+# (M, F): every ExtField's products and powers, and Ben-Or's powers mod a
+# candidate M.  Polynomial products and divisions over F_p run on ints, and
+# over an F[t]/(M) they pack each coefficient the same way.
 
 
 def residues(F, m, start=0):
@@ -355,9 +341,9 @@ def _pmul(a, b, F):
     """The product of a and b, of length len(a) + len(b) - 1 ([] if either is []).
 
     Over F_p, one multiply of the operands packed into ints with
-    coefficient i in slot i, unpacked by mask and shift.  Over an F[t]/(M)
-    whose base packs, the same with each coefficient packed by _packing,
-    a slot as wide as one of its products.
+    coefficient i in slot i, unpacked by mask and shift.  Over an
+    F[t]/(M), the same with each coefficient packed by _packing, a slot as
+    wide as one of its products.
     """
     if not a or not b:
         return []
@@ -368,17 +354,10 @@ def _pmul(a, b, F):
         mask = (1 << w) - 1
         x = _kron(a, w) * _kron(b, w)
         return [(x >> i & mask) % p for i in range(0, n * w, w)]
-    if F._packs:
-        w, pack, unpack, _ = _packing(F.base, F._m, terms)
-        mask = (1 << w) - 1
-        x = _kron(list(map(pack, a)), w) * _kron(list(map(pack, b)), w)
-        return [unpack(x >> i & mask) for i in range(0, n * w, w)]
-    lb, add, mul, zero = len(b), F._add, F._mul, F.zero.rep  # a tower on a tower
-    out = [zero] * n
-    for i, x in enumerate(a):
-        if x != zero:
-            out[i:i + lb] = [add(o, mul(x, y)) for o, y in zip(out[i:i + lb], b)]
-    return out
+    w, pack, unpack, _ = _packing(F.base, F._m, terms)
+    mask = (1 << w) - 1
+    x = _kron(list(map(pack, a)), w) * _kron(list(map(pack, b)), w)
+    return [unpack(x >> i & mask) for i in range(0, n * w, w)]
 
 
 def _kron(cs, w):
@@ -394,6 +373,9 @@ def _pdivmod(a, b, F):
 
     The remainder is r[:len(b) - 1] of the working list, untrimmed: of
     length exactly deg(b) when a is at least that long, as F[t]/(b) wants.
+    Over F_p the working list holds ints, reduced mod p once a step; over
+    an F[t]/(M) each entry is packed by _packing and a step adds -c times
+    the packed divisor, unpacking only the leading entry.
     """
     n = len(b) - 1
     if isinstance(F, PrimeField):
@@ -406,81 +388,98 @@ def _pdivmod(a, b, F):
                 q[k - n] = c
                 r[k - n:k] = [x - c * y for x, y in zip(r[k - n:k], b)]
         return q, [x % p for x in r[:n]]
-    add, mul, neg, zero = F._add, F._mul, F._neg, F.zero.rep
+    mul, neg, zero = F._mul, F._neg, F.zero.rep
     inv = None if b[-1] == F.one.rep else F._pow(b[-1], F.order - 2)
     q = [zero] * max(0, len(a) - n)
-    if F._packs:
-        # an r entry is a digit of a plus at most n packed products
-        _, pack, unpack, _ = _packing(F.base, F._m, n + 1)
-        r, b = list(map(pack, a)), list(map(pack, b[:n]))
-        for k in range(len(r) - 1, n - 1, -1):
-            c = unpack(r[k])
-            if c != zero:
-                q[k - n] = c = c if inv is None else mul(c, inv)
-                c = pack(neg(c))  # add -c: a borrow would cross slots
-                r[k - n:k] = [x + c * y for x, y in zip(r[k - n:k], b)]
-        return q, list(map(unpack, r[:n]))
-    r = list(a)
+    # an r entry is a digit of a plus at most n packed products
+    _, pack, unpack, _ = _packing(F.base, F._m, n + 1)
+    r, b = list(map(pack, a)), list(map(pack, b[:n]))
     for k in range(len(r) - 1, n - 1, -1):
-        if r[k] != zero:
-            q[k - n] = c = r[k] if inv is None else mul(r[k], inv)
-            c = neg(c)
-            r[k - n:k] = [add(x, mul(c, y)) for x, y in zip(r[k - n:k], b)]
-    return q, r[:n]
+        c = unpack(r[k])
+        if c != zero:
+            q[k - n] = c = c if inv is None else mul(c, inv)
+            c = pack(neg(c))  # add -c: a borrow would cross slots
+            r[k - n:k] = [x + c * y for x, y in zip(r[k - n:k], b)]
+    return q, list(map(unpack, r[:n]))
+
+
+@lru_cache(maxsize=None)
+def _layout(F):
+    """The box a product of two of F's reps lays out in: (span, keep, mono,
+    degrees), recursive over F's levels.
+
+    The box has one axis per level of F, of span 2k - 1 for a level of
+    degree k, the outermost level most significant, as in key().  span is
+    the number of its slots, keep the slots of F's own digits in key()
+    order, mono[s] the rep of the monomial at slot s (a product of powers
+    of the levels' generators) and degrees the levels' degrees, innermost
+    first: (1, (0,), (1,), ()) over F_p.
+    """
+    if isinstance(F, PrimeField):
+        return 1, (0,), (1,), ()
+    span, keep, mono, degrees = _layout(F.base)
+    k, zero = F.deg, F.base.zero.rep
+    gens = [F.one.rep]  # the generator's powers, up to the box's 2k - 2
+    for _ in range(2 * k - 2):
+        gens.append(F._mul(gens[-1], F.gen.rep))
+    lifts = [(u,) + (zero,) * (k - 1) for u in mono]
+    return ((2 * k - 1) * span, tuple(i * span + j for i in range(k) for j in keep),
+            tuple(F._mul(g, u) for g in gens for u in lifts), degrees + (k,))
 
 
 @lru_cache(maxsize=None)
 def _packing(F, M, terms):
-    """Kronecker packing for F[t]/(M) over F = F_p or F_p[u]/(N), keyed on F
-    and the monic M (m + 1 reps of F, low first): (width, pack, unpack, mul)
-    for sums of `terms` products, width the bits one product spans.
+    """Kronecker packing for F[t]/(M) over any field F, keyed on F and the
+    monic M (m + 1 reps of F, low first): (width, pack, unpack, mul) for
+    sums of `terms` products, width the bits one product spans.
 
-    With k = [F:F_p] (1 over F_p), pack lays digit j of a rep's
-    coefficient i at slot i(2k - 1) + j, w bits a slot.  A product then
-    has (2m - 1)(2k - 1) slots, slot (i, j) the coefficient of t^i u^j: a
-    sum of at most mk products of digits, so of terms*mk(p-1)^2 for a sum
-    of `terms` products.  unpack keeps the slots with i < m and j < k and
-    adds c*fold for each other slot, with c that slot mod p and fold the
-    packed t^i u^j mod (M, N): at most (p-1)^2 more a slot per fold.  w
-    holds both, so no slot carries, and unpack reduces each kept slot mod
-    p.  Ben-Or's test calls the uncached function, one table per candidate
-    M, and keeps none.
+    With _layout(F)'s box of `span` slots, K of them F's own digits, pack
+    lays digit d of a rep's coefficient i at slot i*span + keep[d], w bits
+    a slot, flattening the rep once per level of F.  A product then has
+    (2m - 1) span slots, slot i*span + s the coefficient of t^i times the
+    monomial mono[s]: a sum of at most mK products of digits, so of
+    terms*mK(p-1)^2 for a sum of `terms` products.  unpack keeps the slots
+    with i < m and s in keep and adds c*fold for each other slot, with c
+    that slot mod p and fold the packed t^i mono[s] mod (M, F): at most
+    (p-1)^2 more a slot per fold.  w holds both, so no slot carries, and
+    unpack reduces each kept slot mod p and regroups the digits once per
+    level.  Ben-Or's test calls the uncached function, one table per
+    candidate M, and keeps none.
     """
-    p, k, m = F.char, F.degree, len(M) - 1
-    span = 2 * k - 1
+    p, m = F.char, len(M) - 1
+    span, keep, mono, degrees = _layout(F)
     slots = (2 * m - 1) * span
-    keep = [i * span + j for i in range(m) for j in range(k)]
-    high = sorted(set(range(slots)) - set(keep))
-    w = ((terms * m * k + len(high)) * (p - 1) ** 2).bit_length()
-    mask, shifts = (1 << w) - 1, [s * w for s in keep]
+    kept = [i * span + j for i in range(m) for j in keep]
+    high = sorted(set(range(slots)) - set(kept))
+    w = ((terms * m * len(keep) + len(high)) * (p - 1) ** 2).bit_length()
+    mask, shifts = (1 << w) - 1, [s * w for s in kept]
     low = sum(mask << s for s in shifts)
-    prime = isinstance(F, PrimeField)
 
     def pack(c):
-        return sum(map(operator.lshift, c if prime else chain.from_iterable(c), shifts))
+        for _ in degrees:
+            c = chain.from_iterable(c)
+        return sum(map(operator.lshift, c, shifts))
 
     def reduced(x):  # x with each kept slot mod p
         return sum(map(operator.lshift, [(x >> s & mask) % p for s in shifts], shifts))
 
-    zero, one = F.zero.rep, F.one.rep
-    powers = [one]  # u^j in F, j < 2k - 1
-    for _ in range(span - 1):
-        powers.append(F._mul(powers[-1], F.gen.rep))
+    zero = F.zero.rep
     tm = [F._neg(c) for c in M[:-1]]  # t^m mod M
-    lead = [pack([F._mul(c, u) for c in tm]) for u in powers]  # u^j t^m mod M
-    # slot i(2k - 1) + j -> t^i u^j mod (M, N), packed
-    fold = {i * span + j: pack([zero] * i + [powers[j]] + [zero] * (m - 1 - i))
-            for i in range(m) for j in range(k, span)}
-    for j, x in enumerate(lead):  # t^i u^j mod M from t^(i-1) u^j mod M
-        fold[m * span + j] = x
+    lead = [pack([F._mul(c, u) for c in tm]) for u in mono]  # mono[s] t^m mod M
+    tops = [(s * w, lead[s]) for s in keep]  # digit d of t^m folds back by lead[keep[d]]
+    # slot i*span + s -> t^i mono[s] mod (M, F), packed
+    fold = {i * span + s: pack([zero] * i + [u] + [zero] * (m - 1 - i))
+            for i in range(m) for s, u in enumerate(mono) if s not in keep}
+    for s, x in enumerate(lead):  # t^i mono[s] mod M from t^(i-1) mono[s] mod M
+        fold[m * span + s] = x
         for i in range(m + 1, 2 * m - 1):
-            x <<= span * w  # times t: the digits c of t^m fold back by lead
+            x <<= span * w  # times t: the digits of t^m fold back by lead
             c = x >> m * span * w
-            x = reduced((x & low) + sum((c >> d * w & mask) * f for d, f in enumerate(lead[:k])))
-            fold[i * span + j] = x
+            x = reduced((x & low) + sum((c >> d & mask) * f for d, f in tops))
+            fold[i * span + s] = x
     folds = [(s * w, fold[s]) for s in high]
 
-    def digits(x):  # the m*k digits of the reduced x, coefficient by coefficient
+    def digits(x):  # the m*K digits of the reduced x, coefficient by coefficient
         y = x & low
         for s, fold in folds:
             y += (x >> s & mask) % p * fold
@@ -488,7 +487,9 @@ def _packing(F, M, terms):
 
     def unpack(x):
         d = digits(x)
-        return tuple(d) if prime else tuple(zip(*[iter(d)] * k))
+        for k in degrees:
+            d = zip(*[iter(d)] * k)
+        return tuple(d)
 
     def mul(x, y):  # on packed elements, for a run of products
         return sum(map(operator.lshift, digits(x * y), shifts))
@@ -539,21 +540,14 @@ def is_irreducible_over(F, f):
     m >= 1.  f is reducible iff it has an irreducible factor of degree
     i <= m/2, that is iff gcd(f, x^(q^i) - x) != 1 for some such i, with
     q = |F| (M. Ben-Or, FOCS 1981; Gao and Panario, 1997).  Each x^(q^i)
-    mod f is the q-th power of the one before, in packed products over
-    F_p and F_p[u]/(N), and the test stops at the first i with a factor.
+    mod f is the q-th power of the one before, in packed products over F,
+    and the test stops at the first i with a factor.
     """
     m = len(f) - 1
     if m == 1:
         return True
     zero, one = F.zero.rep, F.one.rep
-    if _packs(F):
-        _, pack, unpack, mul = _packing.__wrapped__(F, tuple(f), 1)
-    else:  # plain reps, each product reduced by a division
-        pack = unpack = tuple
-
-        def mul(u, v):
-            return tuple(_pdivmod(_pmul(u, v, F), f, F)[1])
-
+    _, pack, unpack, mul = _packing.__wrapped__(F, tuple(f), 1)
     h = pack((zero, one) + (zero,) * (m - 2))
     unit, neg_one = pack((one,) + (zero,) * (m - 1)), F._neg(one)
     for _ in range(m // 2):

@@ -42,11 +42,6 @@ class GroupPresentation:
     d: int
     order: int
 
-    @property
-    def is_abelian(self):
-        # s is stored normalized, so s = 1 covers N <= 2 as well
-        return self.s == 1
-
     def __repr__(self):
         return f"{self.kind}:n={self.n},s={self.s}"
 
@@ -87,24 +82,6 @@ def group_elements(g):
 
 def element_index(g, i, j):
     return j * g.N + i % g.N
-
-
-def group_mult(g, a, b):
-    """Product of two normal forms (i1, j1) * (i2, j2) in G."""
-    i1, j1 = a
-    i2, j2 = b
-    N = g.N
-    if j1 == 0:
-        i, j = (i1 + i2) % N, j2
-    else:
-        # push y left past x^(i2): y x^c = x^(c*s) y since s is its own inverse
-        i = (i1 + g.s * i2) % N
-        j = 1 + j2
-    if j == 2:
-        j = 0
-        if g.kind == NONSPLIT:
-            i = (i + g.n) % N
-    return (i, j)
 
 
 def parse_group(text):

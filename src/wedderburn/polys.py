@@ -5,9 +5,8 @@ little-endian tuple of the field's element reps (ints over F_p, tuples
 over extensions), and the zero polynomial has an empty tuple and degree
 -1.  All operations are exact and run on the reps, products and division
 with remainder on the _p* kernel of wedderburn.fields (int loops over F_p,
-packed coefficients over F_p[t]/(M) and towers on it, the field's own
-operations only over a tower on a tower), so
-%, ext_gcd, powmod and the rest ride on it.  FieldElts are built only
+packed coefficients over every extension), so %, ext_gcd, powmod and the
+rest ride on it.  FieldElts are built only
 where a caller reads a coefficient: `coeffs`, `lead()` and `coeff(i)`.
 """
 
@@ -150,28 +149,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other):
-        return (other % self).is_zero()
-
-    def __call__(self, a):
-        """Evaluate at a, which may live in an extension of the coefficient field."""
-        if isinstance(a, Poly):
-            # composition, reduced nowhere; small degrees only
-            acc = Poly.zero(self.field)
-            for c in reversed(self.coeffs):
-                acc = acc * a + Poly(self.field, (c,))
-            return acc
-        if a.field is self.field:
-            lift = lambda c: c
-        elif isinstance(a.field, ExtField) and a.field.base is self.field:
-            lift = a.field.lift
-        else:
-            raise FieldMismatch("cannot evaluate here")
-        acc = a.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + lift(c)
-        return acc
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.field is self.field
                 and other.reps == self.reps)
@@ -250,16 +227,6 @@ def reversed_coeffs(f):
     if f.is_zero():
         return f
     return Poly.from_reps(f.field, f.reps[::-1])
-
-
-def reciprocal(f):
-    """The monic reciprocal x^deg(f) * f(1/x), normalized monic.
-
-    Requires f(0) != 0 so the degree is preserved.
-    """
-    if f.is_zero() or f.reps[0] == f.field.zero.rep:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    return reversed_coeffs(f).monic()
 
 
 def formal_derivative(f):

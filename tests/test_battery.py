@@ -32,8 +32,10 @@ from wedderburn.battery import (
     run_battery,
 )
 from wedderburn.decompose import decompose
-from wedderburn.groups import NONSPLIT, SPLIT, group_elements, group_mult, make_group
+from wedderburn.groups import NONSPLIT, SPLIT, group_elements, make_group
 from wedderburn.idempotents import CENTRAL, IdempotentEntry
+
+from reference import group_mult
 
 
 def test_instance_enumeration_matches_independent_count():
@@ -274,6 +276,22 @@ def test_central_grade_fails_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False fail: AssertionError: z0 z1 is not 0"
+
+
+def test_perlis_walker_grade_fails_under_python_O():
+    # python -O strips assert statements; the grade raises AssertionError itself
+    code = "\n".join([
+        "from wedderburn import battery",
+        "battery.perlis_walker_degrees = lambda g: []",
+        "report = battery.check_instance('nonsplit', 4, 3, 3)",
+        "print(__debug__, dict(report.checks)['perlis-walker'])",
+    ])
+    src = str(Path(wedderburn.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False fail: AssertionError: ([1, 1, 1, 1], [])"
 
 
 # Defects of the non-central pairs (e1, e2) of nonsplit:n=4,s=3 over F_3,

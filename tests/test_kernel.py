@@ -11,14 +11,18 @@ power must agree with gf_rem(gf_mul(a, b), M) and gf_pow_mod at p in {2,
 products fold the high slots back by a table of t^k mod M, and with every
 digit p - 1 half of the time they fill a slot to its bound, so a slot width
 short of the fold term fails them.  Over F_9, F_25 and the F_81 tower on
-F_9, where no sympy reference applies, a product must equal the schoolbook
-sum of element products and division must satisfy a = q*b + r with
-deg r < deg b; the keys and reprs of a fixed list of tower elements are
-pinned.  A tower F[t]/(f) over F = F_9 or F_25 packs each coefficient's
-digits too and folds back by a table of t^i u^j mod (f, N): its product
-and power must agree with the schoolbook over F for deg f up to 22, with
-every digit p - 1 half of the time, and a quadratic extension of the F_81
-tower, whose products still take a division, must agree as well.
+F_9, and over a tower on that tower, where no sympy reference applies, a
+product must equal the schoolbook sum of element products and division
+must satisfy a = q*b + r with deg r < deg b; the keys and reprs of a fixed
+list of tower elements are pinned.  A tower F[t]/(f) over F = F_9, F_25,
+F_27 or the F_81 tower packs each coefficient's digits too, one box axis
+per level of F, and folds back by a table of t^i times a monomial in the
+levels' generators mod (f, F): its product and power must agree with the
+schoolbook over F for deg f up to 22, with every digit p - 1 half of the
+time, and so must a quadratic extension of the F_81 tower.  Products of
+polynomials with every digit p - 1 over such an F[t]/(f), n terms by n
+for n up to 16, fill the middle slots past half the slot width, so a
+width one bit short fails them at every depth.
 
 Over F_p[t]/(M) a polynomial product packs its coefficients into one int
 (Kronecker substitution), each coefficient itself packed, so products and
@@ -30,14 +34,16 @@ steps or more.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import (gf_div, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem,
                                      gf_strip)
 
-from wedderburn.fields import (ExtField, FieldElt, _pdivmod, _pmul, _power, _ptrim,
-                               ext_field, first_irreducible, is_irreducible_over, make_field)
+from wedderburn.fields import (ExtField, FieldElt, PrimeField, _pdivmod, _pmul, _power,
+                               _ptrim, ext_field, first_irreducible, is_irreducible_over,
+                               make_field)
 from wedderburn.polys import Poly
 
 PRIMES = (2, 3, 5, 13, 1000003)
@@ -179,9 +185,8 @@ def test_rabin_over_a_prime_field_matches_gf_irreducible_p(case):
     assert is_irreducible_over(make_field(p, 1), f[::-1]) == gf_irreducible_p(f, p, ZZ)
 
 
-# polynomials over F_p[t]/(M) and over the tower run on the nested packing,
-# and over a tower on the tower on the kernel's generic path, through the
-# field's own operations
+# polynomials over F_p[t]/(M), over the tower and over a tower on the tower
+# run on the one packed product, the coefficients' digits nested by level
 EXT_FIELDS = {"F9": F9, "F25": make_field(5, 2), "F81/F9": TOWER,
               "F81^2/F81/F9": ext_field(TOWER, first_irreducible(TOWER, 2))}
 EXT_ELTS = {name: list(E.elements()) for name, E in EXT_FIELDS.items()}
@@ -327,9 +332,17 @@ def test_tower_keys_and_reprs_are_pinned():
     assert ((e[10] ** 7).key(), repr(e[10] ** 7)) == ((2, 0, 2, 2), "(2) + (2 + 2*t)*u")
 
 
-# F[t]/(f) over F = F_9 or F_25 on the one packed product: each slot holds a
-# digit of a coefficient, and the high slots fold back by t^i u^j mod (f, N)
-TOWER_BASES = (F9, make_field(5, 2))
+# F[t]/(f) over F = F_9, F_25, F_27 or the F_81 tower on the one packed
+# product: each slot holds a digit of a coefficient, and the high slots fold
+# back by t^i times a monomial in the levels' generators, mod (f, F)
+TOWER_BASES = (F9, make_field(5, 2), make_field(3, 3), TOWER)
+
+
+def _all_top(F):
+    """The rep of F with every digit p - 1, nested as F's reps are."""
+    if isinstance(F, PrimeField):
+        return F.char - 1
+    return (_all_top(F.base),) * F.deg
 
 
 def _mulmod(a, b, E):
@@ -339,16 +352,17 @@ def _mulmod(a, b, E):
 
 @st.composite
 def tower_and_reps(draw):
-    """F[t]/(f) for a random monic f over F = F_9 or F_25 of degree m in
-    {1, 2, 5, 8, 12, 22}, and two reps: with every digit p - 1 half of the
-    time, which fills a product's slots to their bound."""
+    """F[t]/(f) for a random monic f over F = F_9, F_25, F_27 or the F_81
+    tower of degree m in {1, 2, 5, 8, 12, 22}, and two reps: with every
+    digit p - 1 half of the time, which fills a product's slots to their
+    bound."""
     F = draw(st.sampled_from(TOWER_BASES))
     m = draw(st.sampled_from((1, 2, 5, 8, 12, 22)))
     elts = [z.rep for z in F.elements()]
     f = draw(st.lists(st.sampled_from(elts), min_size=m, max_size=m)) + [F.one.rep]
     elt = st.sampled_from(elts)
     if draw(st.booleans()):
-        elt = st.just((F.char - 1,) * F.degree)
+        elt = st.just(_all_top(F))
     a = tuple(draw(st.lists(elt, min_size=m, max_size=m)))
     b = tuple(draw(st.lists(elt, min_size=m, max_size=m)))
     return ExtField(F, tuple(FieldElt(F, c) for c in f)), a, b
@@ -358,9 +372,27 @@ def tower_and_reps(draw):
 @given(tower_and_reps())
 def test_tower_mul_matches_the_schoolbook(case):
     E, a, b = case
-    assert E._packs
     assert E._mul(a, b) == _mulmod(a, b, E)
     assert E._mul(a, a) == _mulmod(a, a, E)
+
+
+@pytest.mark.parametrize("F", TOWER_BASES, ids=("F9", "F25", "F27", "F81/F9"))
+def test_tower_polynomial_products_fill_their_slots(F):
+    # n all-top coefficients times n fill the middle slots of a product over
+    # F[t]/(f) with n*mK(p-1)^2, K = [F:F_p]: past half the slot width for
+    # some n <= 16, where the width has the least room to spare
+    top = _all_top(F)
+    for m in (1, 2, 5):
+        E = ExtField(F, (FieldElt(F, top),) * m + (F.one,))
+        square = _mulmod((top,) * m, (top,) * m, E)
+        for n in range(1, 17):
+            want, acc = [], E.zero.rep
+            for k in range(2 * n - 1):
+                for _ in range(min(k, 2 * n - 2 - k) + 1):
+                    acc = E._add(acc, square)
+                want.append(acc)
+                acc = E.zero.rep
+            assert _pmul([(top,) * m] * n, [(top,) * m] * n, E) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,12 +407,11 @@ def test_tower_pow_matches_repeated_products(case, e):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_quadratic_over_the_tower_stays_on_the_division_path(data):
-    # the base of E is the F_81 tower, which does not pack
+def test_quadratic_over_the_tower_matches_the_schoolbook(data):
+    # the base of E is the F_81 tower, two levels over F_3
     elt = st.sampled_from([z.rep for z in TOWER_ELTS])
     c0, c1 = data.draw(elt), data.draw(elt)
     E = ExtField(TOWER, (FieldElt(TOWER, c0), FieldElt(TOWER, c1), TOWER.one))
-    assert not E._packs
     a, b = data.draw(st.tuples(elt, elt)), data.draw(st.tuples(elt, elt))
     assert E._mul(a, b) == _mulmod(a, b, E)
     e = data.draw(st.integers(0, 12))

@@ -21,7 +21,6 @@ from wedderburn.groups import (
     SPLIT,
     element_index,
     group_elements,
-    group_mult,
     make_group,
 )
 from wedderburn.polys import Poly
@@ -39,6 +38,8 @@ from wedderburn.oracle import (
     multiply,
     sums_to_one,
 )
+
+from reference import group_mult
 
 D8 = make_group(SPLIT, 4, 3, 3)
 Q8 = make_group(NONSPLIT, 2, 3, 3)
