@@ -257,6 +257,16 @@ def test_component_count_grade_catches_a_corrupted_power_stack(monkeypatch):
     assert status.startswith("fail: AssertionError")
 
 
+def _under_python_O(code):
+    """What the child process `python -O -c code` prints, stripped."""
+    src = str(Path(wedderburn.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_central_grade_fails_under_python_O():
     # python -O strips assert statements; the grade raises AssertionError itself
     code = "\n".join([
@@ -270,12 +280,7 @@ def test_central_grade_fails_under_python_O():
         "report = battery.check_instance('nonsplit', 4, 3, 3)",
         "print(__debug__, dict(report.checks)['central-idempotents'])",
     ])
-    src = str(Path(wedderburn.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False fail: AssertionError: z0 z1 is not 0"
+    assert _under_python_O(code) == "False fail: AssertionError: z0 z1 is not 0"
 
 
 def test_perlis_walker_grade_fails_under_python_O():
@@ -286,12 +291,7 @@ def test_perlis_walker_grade_fails_under_python_O():
         "report = battery.check_instance('nonsplit', 4, 3, 3)",
         "print(__debug__, dict(report.checks)['perlis-walker'])",
     ])
-    src = str(Path(wedderburn.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False fail: AssertionError: ([1, 1, 1, 1], [])"
+    assert _under_python_O(code) == "False fail: AssertionError: ([1, 1, 1, 1], [])"
 
 
 # Defects of the non-central pairs (e1, e2) of nonsplit:n=4,s=3 over F_3,
@@ -342,9 +342,4 @@ def test_noncentral_grade_fails_under_python_O():
         "report = battery.check_instance('nonsplit', 4, 3, 3)",
         "print(__debug__, dict(report.checks)['noncentral-splittings'])",
     ])
-    src = str(Path(wedderburn.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False fail: AssertionError: z4/1 z4/2 is not 0"
+    assert _under_python_O(code) == "False fail: AssertionError: z4/1 z4/2 is not 0"

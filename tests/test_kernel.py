@@ -386,12 +386,12 @@ def test_tower_polynomial_products_fill_their_slots(F):
         E = ExtField(F, (FieldElt(F, top),) * m + (F.one,))
         square = _mulmod((top,) * m, (top,) * m, E)
         for n in range(1, 17):
-            want, acc = [], E.zero.rep
-            for k in range(2 * n - 1):
+            want = []
+            for k in range(2 * n - 1):  # the sum of the pairs i + j = k
+                acc = E.zero.rep
                 for _ in range(min(k, 2 * n - 2 - k) + 1):
                     acc = E._add(acc, square)
                 want.append(acc)
-                acc = E.zero.rep
             assert _pmul([(top,) * m] * n, [(top,) * m] * n, E) == want
 
 
