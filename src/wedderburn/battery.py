@@ -3,9 +3,11 @@
 The battery enumerates all valid (kind, n, s, q) with n <= 24 and q in
 {3, 5, 7, 9, 11, 13}, runs the decomposition and the idempotent
 constructions on each, and grades the results in named check classes so
-a regression points at the layer that broke.  Entries are independent
-and are graded on worker processes; reports come back sorted by instance
-key, so the output does not depend on worker count.
+a regression points at the layer that broke.  The unit of work is the
+family (q, N): its groups share the factors of x^N - 1 over F_q and
+their idempotents, and differ only in how s acts on them.  Families are
+graded on worker processes, at most one per family; reports come back
+sorted by instance key, so the output does not depend on worker count.
 """
 
 import concurrent.futures
@@ -359,9 +361,18 @@ class BatteryResult:
         }
 
 
-def _grade(key, include_noncentral, cross_check):
-    return check_instance(*key, include_noncentral=include_noncentral,
-                          cross_check=cross_check)
+def _families(instances):
+    """The instances grouped by (q, N), N = n for split groups and 2n for
+    nonsplit ones, in the order the instances come."""
+    out = {}
+    for kind, n, s, q in instances:
+        out.setdefault((q, n if kind == SPLIT else 2 * n), []).append((kind, n, s, q))
+    return list(out.values())
+
+
+def _grade_family(keys, include_noncentral, cross_check):
+    return [check_instance(*key, include_noncentral=include_noncentral,
+                           cross_check=cross_check) for key in keys]
 
 
 def run_battery(instances=None, include_noncentral=True, cross_check=True,
@@ -369,21 +380,24 @@ def run_battery(instances=None, include_noncentral=True, cross_check=True,
     """Run the sweep and collect one report per instance.
 
     instances defaults to the full battery; pass a filtered list to
-    restrict it.  jobs is the number of worker processes, capped at one
-    per instance; None means one per usable core.  When that comes to
-    one, every instance is graded in the calling process.  Only the
-    reports, which hold plain ints and strings, cross the process
-    boundary: fields and algebras are interned per process.
+    restrict it.  A worker grades a whole family (q, N) in one task, so
+    the family's factors and idempotents are computed once.  jobs is the
+    number of worker processes, capped at one per family; None means one
+    per usable core.  When that comes to one, every instance is graded in
+    the calling process.  Only the reports, which hold plain ints and
+    strings, cross the process boundary: fields and algebras are interned
+    per process.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if instances is None:
         instances = battery_instances()
-    workers = min(jobs or len(os.sched_getaffinity(0)), len(instances))
-    grade = partial(_grade, include_noncentral=include_noncentral,
+    tasks = _families(instances)
+    workers = min(jobs or len(os.sched_getaffinity(0)), len(tasks))
+    grade = partial(_grade_family, include_noncentral=include_noncentral,
                     cross_check=cross_check)
     if workers <= 1:
-        reports = list(map(grade, instances))
+        graded = list(map(grade, tasks))
     else:
         # imported here, so the commands that never grade on a pool do not
         # pay for it (about 18 ms and 1.5 MB)
@@ -395,5 +409,6 @@ def run_battery(instances=None, include_noncentral=True, cross_check=True,
         context = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, mp_context=context) as pool:
-            reports = list(pool.map(grade, instances))
+            graded = list(pool.map(grade, tasks))
+    reports = [rep for family in graded for rep in family]
     return BatteryResult(reports=tuple(sorted(reports, key=lambda r: r.key)))

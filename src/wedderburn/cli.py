@@ -98,7 +98,8 @@ def build_parser():
                      help="comma separated field sizes; empty for none")
     bat.add_argument("--kind", choices=("both", SPLIT, NONSPLIT), default="both")
     bat.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: usable cores)")
+                     help="worker processes, at most one per family (q, N) "
+                          "(default: usable cores)")
     bat.add_argument("--no-cross-check", dest="cross_check",
                      action="store_false", default=True)
     return parser

@@ -131,8 +131,10 @@ def factor_xn_minus_1(field, N):
     Returns a tuple of (coset, poly) pairs sorted by the polynomial sort
     key, where coset is the q-cyclotomic coset of exponents i with
     zeta^i a root.  The product of all factors is asserted to recompose
-    x^N - 1 exactly.  Each coset's product is a list of E's reps, built
-    one linear factor at a time on the rep kernel.
+    x^N - 1 exactly, and each factor's order, the least k with
+    x^k = 1 mod it, to be its roots' order N / gcd(N, min(coset)).  Each
+    coset's product is a list of E's reps, built one linear factor at a
+    time on the rep kernel.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -158,6 +160,8 @@ def factor_xn_minus_1(field, N):
         g = Poly.from_reps(F, coeffs)
         assert g.degree == len(coset)
         assert g.reps[-1] == F.one.rep
+        assert poly_order(g, 4 * N) == N // gcd(N, min(coset)), \
+            "root order disagrees with coset"
         pairs.append((coset, g))
     prod = Poly.one(F)
     for _, g in pairs:
@@ -269,9 +273,7 @@ def classify(field, N, s):
     t = 0
     for i in order:
         coset, g = raw[i]
-        rep = min(coset)
-        l = N // gcd(N, rep)
-        assert poly_order(g, 4 * N) == l, "root order disagrees with coset"
+        l = N // gcd(N, min(coset))  # asserted against g by factor_xn_minus_1
         j = by_coset_set[frozenset(k * s % N for k in coset)]
         involutive = j == i
         assert involutive == (s_involution(g, s, N) == g), \

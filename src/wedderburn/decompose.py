@@ -331,6 +331,6 @@ def decompose(g):
         elif fac.partner > pos:
             comps.extend(_pair_component(g, pos, fac, F))
     dec = Decomposition(g, report, tuple(comps))
-    assert dec.dimension_sum == g.order, \
-        f"internal: dimension audit {dec.dimension_sum} != {g.order}"
+    if dec.dimension_sum != g.order:
+        raise AssertionError(f"internal: dimension audit {dec.dimension_sum} != {g.order}")
     return dec

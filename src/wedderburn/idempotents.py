@@ -27,8 +27,8 @@ from .fields import ext_field, padic_valuation, sqrt_in_field
 from .oracle import (algebra_for, check_pair, coefficient_stack, is_central,
                      is_idempotent, products, sums_to_one)
 from .polys import (NotInvertible, Poly, ext_gcd, formal_derivative,
-                    inverse_mod, is_irreducible, powmod, reversed_coeffs,
-                    x_power_minus_one)
+                    inverse_mod, is_irreducible, mod_xn_minus_1, powmod,
+                    reversed_coeffs, x_power_minus_one)
 
 CENTRAL = "central-primitive"
 NONCENTRAL = "non-central-primitive"
@@ -76,12 +76,19 @@ def _scalar(F, k):
     return F.elt(k) if F.degree == 1 else F.elt([k])
 
 
+def _x_power(F, k, N):
+    """x^k mod x^N - 1."""
+    return Poly.from_reps(F, (F.zero.rep,) * (k % N) + (F.one.rep,))
+
+
+@lru_cache(maxsize=None)
 def cyclic_idempotent(f, N):
     """The primitive idempotent of F_q[x]/(x^N - 1) attached to factor f.
 
     Two independent routes, asserted equal: the derivative/reversal
     closed form -(1/N) * rev(rev(f)') * (x^N - 1)/f, and the Bezout
-    route through gcd(f, (x^N - 1)/f) = 1.
+    route through gcd(f, (x^N - 1)/f) = 1.  Cached per (f, N): every
+    group of a family (q, N) shares the factors of x^N - 1, whatever s.
     """
     F = f.field
     if N % F.char == 0:
@@ -96,12 +103,12 @@ def cyclic_idempotent(f, N):
     # divides deg(f), so pad it back out before reversing.
     deriv = formal_derivative(reversed_coeffs(f)).reps
     padded = deriv + (F.zero.rep,) * (f.degree - len(deriv))
-    closed = scale * Poly.from_reps(F, padded[::-1]) * h % full
+    closed = mod_xn_minus_1(scale * Poly.from_reps(F, padded[::-1]) * h, N)
     g, _, v = ext_gcd(f, h % f)   # v = 1/h mod f; the identity stays below deg f
     assert g.is_one()
-    bezout = v * h % full
+    bezout = mod_xn_minus_1(v * h, N)
     assert closed == bezout, "the two idempotent constructions disagree"
-    assert closed * closed % full == closed
+    assert mod_xn_minus_1(closed * closed, N) == closed
     assert (closed % f).is_one()
     return closed
 
@@ -233,8 +240,8 @@ def noncentral_via_interpolation(g, position):
     (m11, m12), (m21, m22) = mat_mul(mat_mul(W, E11), mat_inv(W))
     q_val = -m12 if g.n % fac.root_order else m12
     e = F.order ** (fac.degree // 2)
-    assert m11 ** e == m22 and q_val ** e == m21, \
-        "matrix unit is not Galois-consistent for this factor"
+    if not (m11 ** e == m22 and q_val ** e == m21):
+        raise AssertionError("matrix unit is not Galois-consistent for this factor")
     return _pair(g, position, Poly.from_reps(F, m11.rep), Poly.from_reps(F, q_val.rep))
 
 
@@ -245,11 +252,10 @@ def _case3_printed_check(g, report, pos, e1, e2, notes):
     A = algebra_for(g)
     F = A.field
     f = report.factors[pos].poly
-    full = x_power_minus_one(F, g.N)
-    a = (_ell(g, f) * formal_derivative(f)) % full
-    xs = powmod(Poly.x(F), g.s, full)
+    a = mod_xn_minus_1(_ell(g, f) * formal_derivative(f), g.N)
+    xs = _x_power(F, g.s, g.N)
     e_f = _factor_idempotent(g, pos)
-    cand = e_f * A.from_polys((-(a * xs)) % full, a)
+    cand = e_f * A.from_polys(mod_xn_minus_1(-(a * xs), g.N), a)
     tag = f"factor {f!r}"
     if cand == e1 or cand == e2:
         notes.append(f"printed third-case form matches the interpolated pair ({tag})")
@@ -294,13 +300,12 @@ def noncentral_pair(f, g, notes=None):
     ell1 = ell + Poly.one(F)
     if g.n % fac.root_order == 0:
         return _pair(g, pos, ell1, -ell)
-    full = x_power_minus_one(F, g.N)
     if g.q % 4 == 1:
         B = Poly(F, (sqrt_in_field(-F.one),))
     else:
         assert g.s % 4 == 1, "a 2-part of n beyond q + 1 forces s = 1 mod 4"
-        B = powmod(Poly.x(F), g.n // 2, full)
-    return _pair(g, pos, ell1, (ell1 * B) % full)
+        B = _x_power(F, g.n // 2, g.N)
+    return _pair(g, pos, ell1, mod_xn_minus_1(ell1 * B, g.N))
 
 
 # ---------------------------------------------------------------------------

@@ -97,22 +97,25 @@ class GroupAlgebra:
         table = self.table = multiplication_table(group)
         table.setflags(write=False)
         idx = np.arange(n)
-        assert (table[0] == idx).all() and (table[:, 0] == idx).all()
+        if not ((table[0] == idx).all() and (table[:, 0] == idx).all()):
+            raise AssertionError
         if n <= 32:
             left = table[table]                       # [a,b,c] = (ab)c
             right = np.take(table, table, axis=1)     # [a,b,c] = a(bc)
-            assert (left == right).all(), "multiplication table not associative"
+            associative = (left == right).all()
         else:
             rng = np.random.default_rng(seed)
             a, b, c = rng.integers(0, n, size=(2000, 3)).T
-            assert (table[table[a, b], c] == table[a, table[b, c]]).all(), \
-                "multiplication table not associative"
+            associative = (table[table[a, b], c] == table[a, table[b, c]]).all()
+        if not associative:
+            raise AssertionError("multiplication table not associative")
         # argsort inverts the rows and columns if they are permutations:
         # table[a, left[a, k]] = k and table[right[k, c], k] = c
         self.left = np.argsort(table, axis=1)
         self.right = np.ascontiguousarray(np.argsort(table, axis=0).T)
-        assert (np.take_along_axis(table, self.left, axis=1) == idx).all() and \
-            (table[self.right, idx[:, None]] == idx).all(), "table is not a Latin square"
+        if not ((np.take_along_axis(table, self.left, axis=1) == idx).all()
+                and (table[self.right, idx[:, None]] == idx).all()):
+            raise AssertionError("table is not a Latin square")
         self.left.setflags(write=False)
         self.right.setflags(write=False)
         # products reads left-multiplication matrices through this gather:

@@ -186,6 +186,18 @@ def x_power_minus_one(field, n):
     return Poly(field, coeffs)
 
 
+def mod_xn_minus_1(f, N):
+    """f mod x^N - 1: since x^N = 1 there, the blocks of N coefficients
+    of f are added up, with no division."""
+    F, reps = f.field, f.reps
+    if len(reps) <= N:
+        return f
+    out = reps[:N]
+    for i in range(N, len(reps), N):
+        out = _padd(out, reps[i:i + N], F)
+    return Poly.from_reps(F, out)
+
+
 def ext_gcd(f, g):
     """Monic gcd d of f and g plus Bezout coefficients: u*f + v*g = d."""
     if not isinstance(g, Poly) or not isinstance(f, Poly):

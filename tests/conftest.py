@@ -2,8 +2,9 @@
 
 The expensive piece is the full verification battery (every valid
 (kind, n <= 24, s, q) instance checked against the brute-force oracle).
-It takes about 35 s on two cores, so it runs once per session and every
-test that wants battery-wide evidence reads the same result object.
+It takes about 8 s on two cores (7.4 to 8.2 s over three runs), so it
+runs once per session and every test that wants battery-wide evidence
+reads the same result object.
 """
 
 import pytest

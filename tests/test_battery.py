@@ -12,13 +12,14 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wedderburn
-from wedderburn import battery, oracle
+from wedderburn import battery, idempotents, oracle
 from wedderburn.battery import (
     CHECK_CLASSES,
     DEFAULT_MAX_N,
@@ -31,6 +32,7 @@ from wedderburn.battery import (
     perlis_walker_degrees,
     run_battery,
 )
+from wedderburn.cyclotomic import classify
 from wedderburn.decompose import decompose
 from wedderburn.groups import NONSPLIT, SPLIT, group_elements, make_group
 from wedderburn.idempotents import CENTRAL, IdempotentEntry
@@ -161,10 +163,20 @@ def test_run_battery_small_and_deterministic():
     assert "split:n=4,s=3" in text
 
 
+def test_run_battery_pools_and_serial_agree_across_kinds_and_families():
+    keys = battery_instances(max_n=6, qs=(3, 9))
+    assert {k[0] for k in keys} == {SPLIT, NONSPLIT}
+    pooled = run_battery(keys, jobs=2)
+    serial = run_battery(keys, jobs=1)
+    assert [r.to_json() for r in pooled.reports] == [r.to_json() for r in serial.reports]
+    assert [r.key for r in pooled.reports] == sorted(keys)
+    assert pooled.ok
+
+
 def test_run_battery_bounds_the_pool(monkeypatch):
     # the spy grades in this process and starts no worker: it only records
-    # how many workers run_battery asked for
-    sizes = []
+    # how many workers run_battery asked for, and the instances of each task
+    sizes, tasks = [], []
 
     class SpyPool:
         def __init__(self, max_workers, mp_context):
@@ -177,17 +189,73 @@ def test_run_battery_bounds_the_pool(monkeypatch):
             return False
 
         def map(self, fn, iterable):
-            return map(fn, iterable)
+            for keys in iterable:
+                tasks.append(list(keys))
+                yield fn(keys)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    keys = battery_instances(max_n=3, qs=(5,), kinds=(SPLIT,))[:3]
+    keys = battery_instances(max_n=3, qs=(5,), kinds=(SPLIT,))[:3]  # three families
     assert len(run_battery(keys, jobs=8).reports) == 3
     run_battery(keys)                  # None: one worker per usable core
     run_battery(keys, jobs=1)          # serial, no pool
     run_battery(keys[:1], jobs=8)      # one instance, no pool
     run_battery([], jobs=8)
     assert sizes == [3, 2]
+    assert tasks == [[k] for k in keys] * 2
+
+    # split:n=4 and nonsplit:n=2 over F_5, every s: one family (5, 4)
+    family = [k for k in battery_instances(max_n=4, qs=(5,))
+              if k[:2] in ((SPLIT, 4), (NONSPLIT, 2))]
+    assert len(family) == 4
+    sizes.clear()
+    tasks.clear()
+    assert len(run_battery(family, jobs=8).reports) == 4  # one family, no pool
+    assert sizes == [] and tasks == []
+    mixed = [family[0], keys[0], *family[1:], keys[1]]
+    result = run_battery(mixed, jobs=8)
+    assert sizes == [3]                # one worker per family
+    assert tasks == [family, [keys[0]], [keys[1]]]
+    assert [r.key for r in result.reports] == sorted(mixed)
+
+
+def test_a_family_computes_each_factor_idempotent_once(monkeypatch):
+    from perfbench.run import program_caches
+
+    # every benchmark operation starts with this cache cleared
+    real = idempotents.cyclic_idempotent
+    assert real in program_caches()
+    # two groups of the family (3, 8), of both kinds and different s
+    family = [(SPLIT, 8, 3, 3), (NONSPLIT, 4, 5, 3)]
+    g = make_group(*family[0])
+    factors = classify(oracle.algebra_for(g).field, 8, 3).factors
+
+    def grade_cold():
+        idempotents._factor_idempotent.cache_clear()
+        idempotents.cyclic_idempotent.cache_clear()
+        assert all(check_instance(*key).ok for key in family)
+
+    grade_cold()
+    info = real.cache_info()
+    assert info.misses == len(factors) and info.hits >= len(factors)
+
+    asked, computed = Counter(), Counter()
+
+    @lru_cache(maxsize=None)
+    def counting_body(f, N):
+        computed[f, N] += 1
+        return real.__wrapped__(f, N)
+
+    def counting_lookup(f, N):
+        asked[f, N] += 1
+        return counting_body(f, N)
+
+    counting_lookup.cache_clear = counting_body.cache_clear
+    monkeypatch.setattr(idempotents, "cyclic_idempotent", counting_lookup)
+    grade_cold()
+    assert computed == Counter({(fac.poly, 8): 1 for fac in factors})
+    assert set(asked) == set(computed)
+    assert sum(asked.values()) >= 2 * len(factors)  # the second group only looks up
 
 
 def test_run_battery_rejects_jobs_below_one():
@@ -343,3 +411,43 @@ def test_noncentral_grade_fails_under_python_O():
         "print(__debug__, dict(report.checks)['noncentral-splittings'])",
     ])
     assert _under_python_O(code) == "False fail: AssertionError: z4/1 z4/2 is not 0"
+
+
+def test_table_audit_and_galois_checks_fail_under_python_O():
+    # python -O strips assert statements; these checks raise AssertionError
+    # themselves: the Galois consistency of the interpolated matrix unit,
+    # decompose's dimension audit and the oracle's table validation
+    code = "\n".join([
+        "from wedderburn import groups, idempotents, oracle",
+        "from wedderburn.cyclotomic import classify",
+        "from wedderburn.decompose import Decomposition, decompose",
+        "from wedderburn.fields import ext_field",
+        "g = groups.make_group('nonsplit', 4, 3, 3)",
+        "F = oracle.algebra_for(g).field",
+        "def failure(fn, *args):",
+        "    try:",
+        "        fn(*args)",
+        "    except AssertionError as exc:",
+        "        return str(exc)",
+        "def unit_frame(g, fac, beta=None):",
+        "    K = ext_field(fac.poly.field, fac.poly.coeffs)",
+        "    return None, ((K.one, K.zero), (K.zero, K.one))",
+        "real_table = oracle.multiplication_table",
+        "def swapped_table(group):",
+        "    table = real_table(group).copy()",
+        "    table[1, [1, 2]] = table[1, [2, 1]]",
+        "    return table",
+        "pos = next(i for i, fac in enumerate(classify(F, g.N, g.s).factors)",
+        "           if fac.self_involutive and not fac.divides_x_d_minus_1)",
+        "idempotents.frame = unit_frame",
+        "print(__debug__, failure(idempotents.noncentral_via_interpolation, g, pos))",
+        "Decomposition.dimension_sum = property(lambda dec: 0)",
+        "print(failure(decompose, g))",
+        "oracle.multiplication_table = swapped_table",
+        "print(failure(oracle.GroupAlgebra, g, F))",
+    ])
+    assert _under_python_O(code).splitlines() == [
+        "False matrix unit is not Galois-consistent for this factor",
+        "internal: dimension audit 0 != 16",
+        "multiplication table not associative",
+    ]

@@ -22,6 +22,7 @@ from wedderburn.polys import (
     formal_derivative,
     inverse_mod,
     is_irreducible,
+    mod_xn_minus_1,
     poly_order,
     powmod,
     reversed_coeffs,
@@ -168,6 +169,17 @@ def test_powmod_matches_naive():
     for e in range(10):
         assert powmod(f, e, mod) == acc
         acc = (acc * f) % mod
+
+
+def test_mod_xn_minus_1_matches_division():
+    # folding the blocks of N coefficients gives the remainder of the division
+    rng = random.Random(5)
+    for F in (F3, F9):
+        elements = list(F.elements())
+        for N in (1, 2, 3, 8):
+            for length in (0, 1, N, N + 1, 3 * N + 2):
+                f = Poly(F, [rng.choice(elements) for _ in range(length)])
+                assert mod_xn_minus_1(f, N) == f % x_power_minus_one(F, N)
 
 
 def test_s_involution_fixed_points():
