@@ -110,7 +110,8 @@ def perlis_walker_degrees(g):
         if count == 0:
             continue
         m = ord_mod(g.q, k)
-        assert count % m == 0, (k, count, m)
+        if count % m:
+            raise AssertionError((k, count, m))
         degrees.extend([m] * (count // m))
     return sorted(degrees)
 

@@ -10,8 +10,11 @@ linear terms over a splitting field E = F_q[t]/(M), then mapping the
 (Frobenius-fixed) coefficients back down.  The root-of-unity scan and the
 coset products run on the field-rep kernel of wedderburn.fields: an element
 of E is a tuple of F_q's reps, the factors are Polys built from F_q's reps,
-and the only FieldElt built is root_of_unity's return value.  No probabilistic
-factoring is involved, so the output ordering is reproducible bit for bit.
+and the only FieldElt built is root_of_unity's return value.  Every order
+here is known before it is checked (N for the root of unity, N / gcd(N, i)
+for a root zeta^i), so fields.has_order certifies it and none is searched
+for.  No probabilistic factoring is involved, so the output ordering is
+reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -19,9 +22,9 @@ from functools import lru_cache
 from itertools import islice, tee
 from math import gcd
 
-from .fields import FieldElt, PrimeField, _pmul, _prime_factors, ext_field, \
-    first_irreducible, ord_mod, padic_valuation, residues, split_prime_power
-from .polys import Poly, poly_order, s_involution, x_power_minus_one
+from .fields import FieldElt, PrimeField, _pmul, ext_field, first_irreducible, has_order, \
+    ord_mod, padic_valuation, residues, split_prime_power
+from .polys import Poly, powmod, s_involution, x_power_minus_one
 
 
 class NotCoprimeNQ(ValueError):
@@ -77,9 +80,9 @@ def root_of_unity(E, N):
     """A primitive N-th root of unity in E, chosen deterministically.
 
     Scans E in its canonical element order, maps each candidate w to
-    w^((|E|-1)/N), and returns the first image of exact order N.  Checking
-    exactness only needs the prime divisors of N, so nothing ever factors
-    the (typically enormous) group order |E| - 1.  The scan runs on E's
+    w^((|E|-1)/N), and returns the first image of exact order N.  has_order
+    certifies exactness from the prime divisors of N alone, so nothing ever
+    factors the (typically enormous) group order |E| - 1.  The scan runs on E's
     reps: the candidates are the residues 0..p-1 over F_p and residue
     tuples of the base's reps over E = F[t]/(M), which come in
     E.elements() order, and powers are taken with E._pow, so the only
@@ -92,7 +95,6 @@ def root_of_unity(E, N):
     size = E.order - 1
     assert size % N == 0, "field does not contain the N-th roots of unity"
     exp = size // N
-    checks = [N // r for r in _prime_factors(N)]
     one = E.one.rep
     if isinstance(E, PrimeField) or isinstance(E.base, PrimeField):
         candidates = _orbit_leaders(E, gcd(exp, E.char - 1))  # c^exp = 1 iff c^gcd = 1
@@ -101,7 +103,7 @@ def root_of_unity(E, N):
         next(candidates)  # 0 comes first and has no order
     for w in candidates:
         z = E._pow(w, exp)
-        if all(E._pow(z, c) != one for c in checks):
+        if has_order(lambda k: E._pow(z, k), N, one):
             return FieldElt(E, z)
     raise AssertionError("no primitive root found, impossible in a cyclic group")
 
@@ -131,8 +133,8 @@ def factor_xn_minus_1(field, N):
     Returns a tuple of (coset, poly) pairs sorted by the polynomial sort
     key, where coset is the q-cyclotomic coset of exponents i with
     zeta^i a root.  The product of all factors is asserted to recompose
-    x^N - 1 exactly, and each factor's order, the least k with
-    x^k = 1 mod it, to be its roots' order N / gcd(N, min(coset)).  Each
+    x^N - 1 exactly, and x mod each factor to have exactly its roots'
+    order N / gcd(N, min(coset)), certified by has_order.  Each
     coset's product is a list of E's reps, built one linear factor at a
     time on the rep kernel.
     """
@@ -160,8 +162,8 @@ def factor_xn_minus_1(field, N):
         g = Poly.from_reps(F, coeffs)
         assert g.degree == len(coset)
         assert g.reps[-1] == F.one.rep
-        assert poly_order(g, 4 * N) == N // gcd(N, min(coset)), \
-            "root order disagrees with coset"
+        assert has_order(lambda k: powmod(Poly.x(F), k, g), N // gcd(N, min(coset)),
+                         Poly.one(F)), "root order disagrees with coset"
         pairs.append((coset, g))
     prod = Poly.one(F)
     for _, g in pairs:

@@ -34,8 +34,8 @@ from math import gcd
 from typing import Optional
 
 from .cyclotomic import classify
-from .fields import (FieldElt, NoSquareRoot, _power, ext_field, make_field,
-                     mul_order, padic_valuation, split_prime_power, sqrt_in_field)
+from .fields import (FieldElt, NoSquareRoot, _power, ext_field, has_order, make_field,
+                     padic_valuation, split_prime_power, sqrt_in_field)
 
 ABELIAN_PART = "abelian"
 SELF_INVOLUTIVE = "self-involutive"
@@ -252,8 +252,8 @@ def theta_frame_scale(g, fac, F):
     theta = xi
     for _ in range(depth):
         theta = sqrt_in_field(theta)
-    L = mul_order(theta)
-    assert L == fac.root_order << depth
+    L = fac.root_order << depth
+    assert has_order(lambda k: theta ** k, L, K.one), "theta's order is not l * 2^depth"
     half = g.q ** (fac.degree // 2)
     A = 1 + half
     g0 = gcd(A, L)

@@ -13,12 +13,16 @@ Kronecker substitution.  FieldElt is the public wrapper only: it pairs a
 rep with its field for callers that read an element, and the library's own
 loops (Poly coefficients, the matrix helpers of wedderburn.decompose,
 Tonelli-Shanks) stay on reps and wrap only what they return.
+
+The integer helpers share one trial-division loop, _least_factor, behind
+is_prime, split_prime_power and _prime_factors.  No order in a field is
+ever searched for: the callers know the order L they expect from the
+cyclotomic cosets, and has_order certifies it from the prime factors of L.
 """
 
 import operator
 from functools import lru_cache
 from itertools import chain
-from math import isqrt
 
 
 class NonPrimeCharacteristic(ValueError):
@@ -26,10 +30,6 @@ class NonPrimeCharacteristic(ValueError):
 
 
 class DegreeZero(ValueError):
-    pass
-
-
-class ZeroElement(ValueError):
     pass
 
 
@@ -45,27 +45,49 @@ class NotCoprime(ValueError):
     pass
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _least_factor(n):
+    """The least prime factor of n >= 2: n itself when no d <= sqrt(n)
+    divides it.  The one trial-division loop of the package."""
     if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        return 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 2
+    return n
+
+
+def is_prime(n):
+    return n >= 2 and _least_factor(n) == n
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    while n > 1:
+        p = _least_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
+def has_order(power, L, one):
+    """True iff power(k) = one at k = L but at no k = L/r for a prime r | L:
+    the certificate that an element a with power(k) = a^k has order
+    exactly L, from the prime factors of L alone."""
+    return all(power(L // r) != one for r in _prime_factors(L)) and power(L) == one
 
 
 def split_prime_power(q):
-    """Write q as p^m with p prime, or raise NonPrimeCharacteristic."""
+    """Write q as p^m with p prime, or raise NonPrimeCharacteristic.
+
+    p is q's least prime factor, so a q with two prime factors is refused
+    without factoring its cofactor."""
     if q < 2:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
-    # the least divisor d > 1 of q is prime, and d <= sqrt(q) unless q is prime
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    p = _least_factor(q)
     m = padic_valuation(q, p)
     if p ** m != q:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
@@ -227,7 +249,8 @@ class ExtField:
 
     def __init__(self, base, modulus):
         # modulus: tuple of base elements, monic, length deg+1, deg >= 1
-        assert len(modulus) >= 2 and modulus[-1] == base.one, "modulus must be monic"
+        if len(modulus) < 2 or modulus[-1] != base.one:
+            raise ValueError("modulus must be monic of degree >= 1")
         self.base = base
         self.modulus = tuple(modulus)
         self.deg = len(modulus) - 1
@@ -619,33 +642,6 @@ def ext_field(base, modulus):
     tuple of base elements.
     """
     return ExtField(base, modulus)
-
-
-def mul_order(a):
-    """Order of a in the multiplicative group of its field."""
-    if a.is_zero():
-        raise ZeroElement("0 has no multiplicative order")
-    n = a.field.order - 1
-    order = n
-    for p in _prime_factors(n):
-        while order % p == 0 and (a ** (order // p)) == a.field.one:
-            order //= p
-    assert (a ** order) == a.field.one
-    return order
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def sqrt_in_field(a):

@@ -26,10 +26,6 @@ class NotInvertible(ArithmeticError):
     pass
 
 
-class ZeroConstantTerm(ValueError):
-    pass
-
-
 class NotDividingXNMinus1(ValueError):
     pass
 
@@ -248,30 +244,6 @@ def formal_derivative(f):
         k = F._add(k, one)  # i * 1 for the coefficient of x^i
         out.append(F._mul(c, k))
     return Poly.from_reps(F, out)
-
-
-def poly_order(f, cap=None):
-    """Least k >= 1 with x^k = 1 mod f; requires f(0) != 0.
-
-    Walks k upward one multiplication at a time.  A cap may be supplied
-    when the caller knows a bound (factors of x^N - 1 pass 4N); passing it
-    would then signal an upstream inconsistency.  The default cap is the
-    unconditional bound |F|^deg - 1.
-    """
-    if f.degree < 1:
-        raise ValueError("order modulo a constant is undefined")
-    if f.reps[0] == f.field.zero.rep:
-        raise ZeroConstantTerm("x is not invertible modulo f when f(0) = 0")
-    if cap is None:
-        cap = f.field.order ** f.degree - 1
-    x = Poly.x(f.field) % f
-    acc = x
-    one = Poly.one(f.field)
-    for k in range(1, cap + 1):
-        if acc == one:
-            return k
-        acc = acc * x % f
-    raise AssertionError(f"order of x mod {f!r} exceeds cap {cap}")
 
 
 def s_involution(f, s, n):

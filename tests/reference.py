@@ -7,7 +7,11 @@ reciprocal polynomial, which s_involution(f, N - 1, N) must reproduce.
 """
 
 from wedderburn.groups import NONSPLIT
-from wedderburn.polys import ZeroConstantTerm, reversed_coeffs
+from wedderburn.polys import reversed_coeffs
+
+
+class ZeroConstantTerm(ValueError):
+    pass
 
 
 def group_mult(g, a, b):

@@ -5,20 +5,18 @@ The full-sweep results are exercised in test_acceptance; here the harness
 pieces are checked on small inputs so failures localize.
 """
 
+import ast
 import concurrent.futures
 import os
 import inspect
-import subprocess
-import sys
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wedderburn
 from wedderburn import battery, idempotents, oracle
 from wedderburn.battery import (
     CHECK_CLASSES,
@@ -33,10 +31,11 @@ from wedderburn.battery import (
     run_battery,
 )
 from wedderburn.cyclotomic import classify
-from wedderburn.decompose import decompose
+from wedderburn.decompose import _checked, decompose
 from wedderburn.groups import NONSPLIT, SPLIT, group_elements, make_group
 from wedderburn.idempotents import CENTRAL, IdempotentEntry
 
+from conftest import under_python_O
 from reference import group_mult
 
 
@@ -325,16 +324,6 @@ def test_component_count_grade_catches_a_corrupted_power_stack(monkeypatch):
     assert status.startswith("fail: AssertionError")
 
 
-def _under_python_O(code):
-    """What the child process `python -O -c code` prints, stripped."""
-    src = str(Path(wedderburn.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
 def test_central_grade_fails_under_python_O():
     # python -O strips assert statements; the grade raises AssertionError itself
     code = "\n".join([
@@ -348,7 +337,7 @@ def test_central_grade_fails_under_python_O():
         "report = battery.check_instance('nonsplit', 4, 3, 3)",
         "print(__debug__, dict(report.checks)['central-idempotents'])",
     ])
-    assert _under_python_O(code) == "False fail: AssertionError: z0 z1 is not 0"
+    assert under_python_O(code) == "False fail: AssertionError: z0 z1 is not 0"
 
 
 def test_perlis_walker_grade_fails_under_python_O():
@@ -359,7 +348,7 @@ def test_perlis_walker_grade_fails_under_python_O():
         "report = battery.check_instance('nonsplit', 4, 3, 3)",
         "print(__debug__, dict(report.checks)['perlis-walker'])",
     ])
-    assert _under_python_O(code) == "False fail: AssertionError: ([1, 1, 1, 1], [])"
+    assert under_python_O(code) == "False fail: AssertionError: ([1, 1, 1, 1], [])"
 
 
 # Defects of the non-central pairs (e1, e2) of nonsplit:n=4,s=3 over F_3,
@@ -410,7 +399,7 @@ def test_noncentral_grade_fails_under_python_O():
         "report = battery.check_instance('nonsplit', 4, 3, 3)",
         "print(__debug__, dict(report.checks)['noncentral-splittings'])",
     ])
-    assert _under_python_O(code) == "False fail: AssertionError: z4/1 z4/2 is not 0"
+    assert under_python_O(code) == "False fail: AssertionError: z4/1 z4/2 is not 0"
 
 
 def test_table_audit_and_galois_checks_fail_under_python_O():
@@ -446,8 +435,18 @@ def test_table_audit_and_galois_checks_fail_under_python_O():
         "oracle.multiplication_table = swapped_table",
         "print(failure(oracle.GroupAlgebra, g, F))",
     ])
-    assert _under_python_O(code).splitlines() == [
+    assert under_python_O(code).splitlines() == [
         "False matrix unit is not Galois-consistent for this factor",
         "internal: dimension audit 0 != 16",
         "multiplication table not associative",
     ]
+
+
+def test_grading_path_has_no_assert_statement():
+    # python -O strips assert statements, so the grading path raises instead
+    sources = {mod.__name__: inspect.getsource(mod) for mod in (battery, oracle)}
+    sources["decompose._checked"] = inspect.getsource(_checked)
+    for name, source in sources.items():
+        lines = [node.lineno for node in ast.walk(ast.parse(textwrap.dedent(source)))
+                 if isinstance(node, ast.Assert)]
+        assert lines == [], f"assert statements in {name} at lines {lines}"

@@ -1,6 +1,7 @@
 """Command line front end: output formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -161,16 +162,21 @@ def test_factor_over_a_large_prime(capsys):
     assert "x^2 - 1 over F_1000000007:" in out
 
 
-def _answers_within_20_s(command, group, q=1000003):
+def _stdout_within_20_s(*argv):
     """Run the CLI in a child process, so the bound holds even if the call
-    hangs."""
+    hangs, and return what it prints."""
     src = str(Path(wedderburn.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from wedderburn.cli import main; sys.exit(main())",
-         command, "--q", str(q), "--group", group],
+         *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.startswith(f"group {group}  q={q}  ")
+    return proc.stdout
+
+
+def _answers_within_20_s(command, group, q=1000003):
+    out = _stdout_within_20_s(command, "--q", str(q), "--group", group)
+    assert out.startswith(f"group {group}  q={q}  ")
 
 
 @pytest.mark.parametrize("command", ["factor", "decompose"])
@@ -196,6 +202,22 @@ def test_q_3_split_n1000_answers_within_20_s(command):
     # products of x^1000 - 1 run over F_3[t]/(M) with m = 100.  Both took
     # minutes when every product was a row loop and a division.
     _answers_within_20_s(command, "split:n=1000,s=999", q=3)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["decompose"], "deeb4f7c14fb174184fb5dc7a46901012365eedcd5becff565c81ab684857e72"),
+    (["idempotents", "--include-noncentral"],
+     "04617a9925c0750840ca9322a71256fda775fe0b4ce75e9069089ad1a7501d2c"),
+], ids=["decompose", "idempotents"])
+def test_q_3_nonsplit_n127_theta_frame_answers_within_20_s(argv, digest):
+    # the factor of degree 126 takes the theta frame, whose root theta over
+    # F_(3^126) has an order known in advance.  Certifying it once factored
+    # 3^126 - 1 by trial division: 40 s for decompose and 71 s for
+    # idempotents, which builds the frame twice, on one Xeon core.  The
+    # digests are of the bytes printed then.
+    out = _stdout_within_20_s(*argv, "--q", "3", "--group", "nonsplit:n=127,s=253",
+                              "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_even_characteristic_rejected(capsys):

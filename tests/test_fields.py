@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import primefactors
+from sympy import factorint, primefactors
 
 from wedderburn import fields
 from wedderburn.fields import (
@@ -16,25 +16,31 @@ from wedderburn.fields import (
     NoSquareRoot,
     NonPrimeCharacteristic,
     NotCoprime,
-    ZeroElement,
     ZeroInput,
     ext_field,
     _binomials_reducible,
+    _least_factor,
     _padd,
     _pdivmod,
     _pgcd,
     _pmul,
     _power,
+    _prime_factors,
     _ptrim,
     first_irreducible,
+    has_order,
     is_irreducible_over,
+    is_prime,
     make_field,
-    mul_order,
     ord_mod,
     padic_valuation,
     split_prime_power,
     sqrt_in_field,
 )
+
+from conftest import under_python_O
+
+F9 = make_field(3, 2)
 
 
 def test_prime_field_basics():
@@ -124,31 +130,64 @@ def test_inverses():
             assert a * a.inverse() == F.one
 
 
-def test_mul_order_examples():
-    F3 = make_field(3, 1)
-    assert mul_order(F3.one) == 1
-    assert mul_order(F3.elt(2)) == 2
-    F9 = make_field(3, 2)
-    orders = sorted(mul_order(a) for a in F9.elements() if a != F9.zero)
-    assert max(orders) == 8  # the multiplicative group is cyclic of order 8
-    assert orders.count(8) == 4  # phi(8)
+def _walked_order(a):
+    """The least k >= 1 with a^k = 1, one product at a time; None for 0."""
+    if a.is_zero():
+        return None
+    k, x = 1, a
+    while x != a.field.one:
+        k, x = k + 1, x * a
+    return k
 
 
-def test_mul_order_divides_group_order():
-    for p, m in ((3, 2), (5, 2), (11, 1)):
-        F = make_field(p, m)
-        for a in F.elements():
-            if a == F.zero:
-                continue
-            k = mul_order(a)
-            assert (F.order - 1) % k == 0
-            assert a ** k == F.one
+def _has_order(a, L):
+    return has_order(lambda k: a ** k, L, a.field.one)
 
 
-def test_mul_order_zero_rejected():
-    F = make_field(3, 1)
-    with pytest.raises(ZeroElement):
-        mul_order(F.zero)
+@pytest.mark.parametrize("F", [make_field(11, 1), F9, make_field(5, 2),
+                               ext_field(F9, first_irreducible(F9, 2))], ids=repr)
+def test_has_order_matches_a_walked_order(F):
+    # every element at every k | q - 1: true at its order, false elsewhere,
+    # and false everywhere for 0
+    divisors = [k for k in range(1, F.order) if (F.order - 1) % k == 0]
+    for a in F.elements():
+        L = _walked_order(a)
+        assert [k for k in divisors if _has_order(a, k)] == ([] if L is None else [L])
+
+
+def test_trial_division_matches_sympy():
+    for n in range(2, 10 ** 4):
+        factors = factorint(n)
+        assert _least_factor(n) == min(factors)
+        assert is_prime(n) == (factors == {n: 1})
+        assert _prime_factors(n) == sorted(factors)
+        if len(factors) == 1:
+            assert split_prime_power(n) == next(iter(factors.items()))
+        else:
+            with pytest.raises(NonPrimeCharacteristic):
+                split_prime_power(n)
+    assert _prime_factors(1) == [] and not is_prime(0) and not is_prime(1)
+
+
+def test_split_prime_power_stops_at_the_least_factor():
+    # factoring the cofactor 2^61 - 1 by trial division would take minutes
+    with pytest.raises(NonPrimeCharacteristic):
+        split_prime_power(3 * (2 ** 61 - 1))
+
+
+def test_ext_field_rejects_a_modulus_that_is_not_monic_under_python_O():
+    code = "\n".join([
+        "from wedderburn.fields import first_irreducible, make_field, ExtField",
+        "F = make_field(3, 1)",
+        "f = first_irreducible(F, 2)",
+        "for modulus in (f[:-1] + (F.elt(2),), (F.one,)):",
+        "    try:",
+        "        ExtField(F, modulus)",
+        "    except ValueError as e:",
+        "        print(__debug__, e)",
+    ])
+    assert under_python_O(code).splitlines() == \
+        ["False modulus must be monic of degree >= 1"] * 2
 
 
 def test_sqrt_examples():
@@ -159,7 +198,7 @@ def test_sqrt_examples():
     F9 = make_field(3, 2)
     r = sqrt_in_field(-F9.one)
     assert r * r == -F9.one
-    assert mul_order(r) == 4
+    assert _has_order(r, 4)
 
 
 def test_sqrt_of_one_is_one_without_tonelli(monkeypatch):
@@ -334,7 +373,6 @@ def test_ben_or_matches_rabin_on_every_monic_of_degree_at_most_3(F):
             assert is_irreducible_over(F, f) == _rabin(F, f), f
 
 
-F9 = make_field(3, 2)
 BEN_OR_FIELDS = {"F49": make_field(7, 2), "F8": make_field(2, 3),
                  "F81/F9": ext_field(F9, first_irreducible(F9, 2))}
 

@@ -10,27 +10,26 @@ from math import gcd
 
 import pytest
 
-from wedderburn.fields import first_irreducible, make_field, split_prime_power
+from wedderburn.cyclotomic import factor_xn_minus_1
+from wedderburn.fields import first_irreducible, has_order, make_field, split_prime_power
 from wedderburn.polys import (
     BadS,
     BothZero,
     FieldMismatch,
     NotInvertible,
     Poly,
-    ZeroConstantTerm,
     ext_gcd,
     formal_derivative,
     inverse_mod,
     is_irreducible,
     mod_xn_minus_1,
-    poly_order,
     powmod,
     reversed_coeffs,
     s_involution,
     x_power_minus_one,
 )
 
-from reference import reciprocal
+from reference import ZeroConstantTerm, reciprocal
 
 F3 = make_field(3, 1)
 F9 = make_field(3, 2)
@@ -154,12 +153,32 @@ def test_formal_derivative():
     assert formal_derivative(P(1, 1, 1, 1)) == P(1, 2)
 
 
-def test_poly_order_examples():
-    assert poly_order(P(2, 1)) == 1            # x - 1 divides x^1 - 1
-    assert poly_order(P(1, 1)) == 2
-    assert poly_order(P(1, 0, 1)) == 4
-    with pytest.raises(ZeroConstantTerm):
-        poly_order(P(0, 1))
+def _x_has_order(g, L):
+    return has_order(lambda k: powmod(Poly.x(g.field), k, g), L, Poly.one(g.field))
+
+
+def test_x_has_order_examples():
+    assert _x_has_order(P(2, 1), 1)            # x - 1 divides x^1 - 1
+    assert _x_has_order(P(1, 1), 2)
+    assert _x_has_order(P(1, 0, 1), 4)
+    assert not _x_has_order(P(1, 0, 1), 2) and not _x_has_order(P(1, 0, 1), 8)
+    assert not any(_x_has_order(P(0, 1), k) for k in (1, 2, 3, 4))  # x | f
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_x_has_order_matches_a_walked_order(q):
+    # x mod every factor g of x^N - 1, N <= 24: true at its order, false
+    # at every other k | N
+    F = make_field(q, 1)
+    for N in range(1, 25):
+        if N % q == 0:
+            continue
+        divisors = [k for k in range(1, N + 1) if N % k == 0]
+        for _, g in factor_xn_minus_1(F, N):
+            L, acc = 1, Poly.x(F) % g
+            while not acc.is_one():  # the least L with x^L = 1 mod g
+                L, acc = L + 1, acc * Poly.x(F) % g
+            assert [k for k in divisors if _x_has_order(g, k)] == [L]
 
 
 def test_powmod_matches_naive():
