@@ -155,6 +155,27 @@ def test_has_order_matches_a_walked_order(F):
         assert [k for k in divisors if _has_order(a, k)] == ([] if L is None else [L])
 
 
+def test_mul_order_divides_group_order():
+    # Lagrange: the multiplicative order of each nonzero a divides q - 1,
+    # and the certificate holds at that order
+    for p, m in ((3, 2), (5, 2), (11, 1)):
+        F = make_field(p, m)
+        for a in F.elements():
+            if a == F.zero:
+                continue
+            k = _walked_order(a)
+            assert (F.order - 1) % k == 0
+            assert a ** k == F.one
+            assert _has_order(a, k)
+
+
+def test_mul_order_zero_rejected():
+    # 0 has no multiplicative order: the certificate fails at every L
+    F = make_field(3, 1)
+    assert _walked_order(F.zero) is None
+    assert not any(_has_order(F.zero, L) for L in range(1, 2 * F.order))
+
+
 def test_trial_division_matches_sympy():
     for n in range(2, 10 ** 4):
         factors = factorint(n)
