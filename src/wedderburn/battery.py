@@ -21,11 +21,10 @@ import numpy as np
 
 from . import oracle
 from .cyclotomic import classify
-from .decompose import SELF_INVOLUTIVE, component_matrices_check, decompose
+from .decompose import SELF_INVOLUTIVE, component_matrices_check, decompose, route
 from .fields import ord_mod
 from .groups import NONSPLIT, SPLIT, OrderNotCoprime, make_group
-from .idempotents import (by_interpolation, complete_idempotent_set,
-                          noncentral_via_interpolation)
+from .idempotents import complete_idempotent_set, noncentral_via_interpolation
 
 DEFAULT_QS = (3, 5, 7, 9, 11, 13)
 DEFAULT_MAX_N = 24
@@ -177,18 +176,13 @@ class _Skip(Exception):
     """Raised inside a check body to mark it skipped rather than failed."""
 
 
-def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
-                   seed=0):
-    """Grade one instance.  Never raises: every defect lands in a check
-    message instead, so one broken instance cannot take down a sweep.
-
-    seed steers the oracle's associativity sample (|G| > 32) in the algebra
-    the counts are graded on; seed 0 grades on the cached algebra_for(g).
+def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True):
+    """Grade one instance on the cached algebra_for(g).  Never raises:
+    every defect lands in a check message instead, so one broken instance
+    cannot take down a sweep.
     """
     g = make_group(kind, n, s, q)
     A = oracle.algebra_for(g)
-    if seed:
-        A = oracle.GroupAlgebra(g, A.field, seed=seed)
     report = classify(A.field, g.N, g.s)
     checks = []
     state = {}
@@ -271,7 +265,7 @@ def check_instance(kind, n, s, q, include_noncentral=True, cross_check=True,
             oracle.check_pair(parent.element, e1, e2, parent.label)
             fac = report.factors[comp.source.position]
             if (cross_check and comp.source.kind == SELF_INVOLUTIVE
-                    and not by_interpolation(g, fac)):
+                    and not route(g, fac).endswith("by interpolation")):
                 other = noncentral_via_interpolation(g, comp.source.position)
                 if tuple(other) != (e1, e2):
                     raise AssertionError(

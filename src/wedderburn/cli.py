@@ -22,7 +22,7 @@ from . import battery, oracle
 from .cyclotomic import classify
 from .decompose import decompose
 from .fields import make_field, split_prime_power
-from .groups import NONSPLIT, SPLIT, make_group, parse_group
+from .groups import NONSPLIT, SPLIT, GroupPresentation, make_group, parse_group
 from .idempotents import complete_idempotent_set
 
 EXIT_OK = 0
@@ -36,15 +36,9 @@ class RunConfig:
     """Everything a run needs, parsed and validated up front."""
     command: str
     fmt: str
-    p: int = 0
-    m: int = 0
-    q: int = 0
-    kind: str = ""
-    n: int = 0
-    s: int = 0
+    group: GroupPresentation | None = None
     include_noncentral: bool = False
     cross_check: bool = True
-    seed: int = 0
     max_n: int = 0
     qs: tuple = ()
     kinds: tuple = ()
@@ -88,8 +82,6 @@ def build_parser():
                      action="store_false")
     ver.add_argument("--no-cross-check", dest="cross_check",
                      action="store_false", default=True)
-    ver.add_argument("--seed", type=int, default=0,
-                     help="seed for the associativity spot check sampling")
 
     bat = sub.add_parser("battery", parents=[shared],
                          help="grade every valid instance in the sweep")
@@ -107,7 +99,10 @@ def build_parser():
 
 def config_from_args(args):
     """argparse namespace -> validated RunConfig.  Raises on bad input."""
-    common = {"command": args.command, "fmt": args.format}
+    # each subcommand's config carries the flags its parser defines
+    common = {key: getattr(args, key) for key in ("include_noncentral", "cross_check")
+              if hasattr(args, key)}
+    common.update(command=args.command, fmt=args.format)
     if args.command == "battery":
         qs = tuple(int(tok) for tok in args.qs.split(",") if tok.strip())
         for q in qs:
@@ -117,19 +112,9 @@ def config_from_args(args):
             raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
         if args.jobs is not None and args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        return RunConfig(max_n=args.max_n, qs=qs, kinds=kinds, jobs=args.jobs,
-                         cross_check=args.cross_check, **common)
-    p, m = split_prime_power(args.q)
-    kind, n, s = parse_group(args.group)
-    g = make_group(kind, n, s, args.q)  # full validation; result discarded
-    extra = {}
-    if args.command in ("idempotents", "verify"):
-        extra["include_noncentral"] = args.include_noncentral
-    if args.command == "verify":
-        extra["cross_check"] = args.cross_check
-        extra["seed"] = args.seed
-    return RunConfig(p=p, m=m, q=args.q, kind=g.kind, n=g.n, s=g.s, **extra,
-                     **common)
+        return RunConfig(max_n=args.max_n, qs=qs, kinds=kinds, jobs=args.jobs, **common)
+    split_prime_power(args.q)  # a bad q is reported before a bad group spec
+    return RunConfig(group=make_group(*parse_group(args.group), args.q), **common)
 
 
 def _emit(lines, stream=None):
@@ -150,8 +135,8 @@ def _group_header(g, report):
 
 
 def run_factor(config):
-    g = make_group(config.kind, config.n, config.s, config.q)
-    report = classify(make_field(config.p, config.m), g.N, g.s)
+    g = config.group
+    report = classify(make_field(*split_prime_power(g.q)), g.N, g.s)
     if config.fmt == "json":
         _emit_json(report.to_json())
         return EXIT_OK
@@ -170,7 +155,7 @@ def run_factor(config):
 
 
 def run_decompose(config):
-    g = make_group(config.kind, config.n, config.s, config.q)
+    g = config.group
     dec = decompose(g)
     if config.fmt == "json":
         _emit_json(dec.to_json())
@@ -188,7 +173,7 @@ def run_decompose(config):
 
 
 def run_idempotents(config):
-    g = make_group(config.kind, config.n, config.s, config.q)
+    g = config.group
     dec = decompose(g)
     notes = []
     ids = complete_idempotent_set(g, dec,
@@ -212,10 +197,10 @@ def run_idempotents(config):
 
 
 def run_verify(config):
-    rep = battery.check_instance(config.kind, config.n, config.s, config.q,
+    g = config.group
+    rep = battery.check_instance(g.kind, g.n, g.s, g.q,
                                  include_noncentral=config.include_noncentral,
-                                 cross_check=config.cross_check,
-                                 seed=config.seed)
+                                 cross_check=config.cross_check)
     if config.fmt == "json":
         _emit_json(rep.to_json())
     else:

@@ -23,13 +23,13 @@ of the component depends on where f sits:
 
 Both kinds read y^2 = x^n, with x^n = 1 for the split kind (N = n), so
 no construction here branches on the kind.  The plain images are
-x -> diag(xi, xi^s), y -> [[0, xi^n], [1, 0]].  The one function frame()
-decides the sigma/eta/theta case split and returns the conjugating
-matrix W; the idempotent constructions read the same W.
+x -> diag(xi, xi^s), y -> [[0, xi^n], [1, 0]].  The one function route()
+decides the sigma/eta/theta case split, and frame() returns its
+conjugating matrix W; the idempotent constructions read the same W.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from typing import Optional
 
@@ -234,6 +234,7 @@ def _pair_component(g, pos, fac, F):
     return [_checked(WedderburnComponent(2, fac.degree, 1, src, X, Y), g)]
 
 
+@lru_cache(maxsize=None)
 def theta_frame_scale(g, fac, F):
     """The ratio r = b/a of the theta frame's Z = [[a, b], [-xi a, -xi^s b]]
     on the x^n + 1 side when q = 3 mod 4 and deg(f)/2 is odd.
@@ -243,49 +244,79 @@ def theta_frame_scale(g, fac, F):
     iterated square roots of xi down to the full 2-power depth the field
     allows, then solve a linear congruence on the exponent.  Square
     roots pick the lexicographically smaller of the two choices, so the
-    result is deterministic.  Independent of s.
+    result is deterministic.  Independent of s.  Cached: the interpolated
+    non-central pair builds the same frame again.
     """
     K = ext_field(F, fac.poly.coeffs)
     xi = K.gen
     depth = padic_valuation(g.q + 1, 2) - padic_valuation(g.n, 2)
-    assert depth >= 0, "theta frame needs the 2-part of n to fit in q + 1"
+    if depth < 0:
+        raise AssertionError("theta frame needs the 2-part of n to fit in q + 1")
     theta = xi
     for _ in range(depth):
         theta = sqrt_in_field(theta)
     L = fac.root_order << depth
-    assert has_order(lambda k: theta ** k, L, K.one), "theta's order is not l * 2^depth"
+    if not has_order(lambda k: theta ** k, L, K.one):
+        raise AssertionError("theta's order is not l * 2^depth")
     half = g.q ** (fac.degree // 2)
     A = 1 + half
     g0 = gcd(A, L)
-    assert (L // 2) % g0 == 0
+    if (L // 2) % g0:
+        raise AssertionError
     t = (L // 2 // g0) * pow(A // g0, -1, L // g0) % (L // g0)
     r = theta ** t
-    assert r * r ** half == -K.one
+    if r * r ** half != -K.one:
+        raise AssertionError
     return r
+
+
+def route(g, fac):
+    """The route to the 2x2 component of a self-involutive factor f away
+    from x^d - 1 and to its non-central pair, frame name first: the first
+    line whose condition holds.
+
+      sigma-tau                     xi^n = 1 (every split-kind factor)
+      eta-omega, sqrt(-1) in F_q    q = 1 mod 4
+      eta-omega, xi^{n/2}           the 2-part of n beyond that of q + 1,
+                                    which forces 4 | deg f and s = 1 mod 4
+      eta-omega by interpolation    4 | deg f
+      theta-omega by interpolation  otherwise
+    """
+    if g.n % fac.root_order == 0:
+        return "sigma-tau"
+    if g.q % 4 == 1:
+        return "eta-omega, sqrt(-1) in F_q"
+    if padic_valuation(g.n, 2) > padic_valuation(g.q + 1, 2):
+        return "eta-omega, xi^{n/2}"
+    if fac.degree % 4 == 0:
+        return "eta-omega by interpolation"
+    return "theta-omega by interpolation"
 
 
 def frame(g, fac, beta=None):
     """(tag, W) for the 2x2 component of a self-involutive factor f away
-    from x^d - 1: the component is u -> W^{-1} u W on the plain images.
+    from x^d - 1, in the frame route names: the component is
+    u -> W^{-1} u W on the plain images.
 
-      sigma-tau    xi^n = 1 (every split-kind factor): W = [[1, -xi], [1, -xi^s]]
-      eta-omega    xi^n = -1 and sqrt(-1) in the half field (q = 1 mod 4, or
-                   4 | deg f): W = [[-xi^s, beta], [beta xi, 1]] with beta^2 = -1,
-                   the canonical square root unless beta is given
-      theta-omega  otherwise: W = Z^{-1}, Z = [[1, r], [-xi, -xi^s r]] with
-                   r from theta_frame_scale
+      sigma-tau    W = [[1, -xi], [1, -xi^s]]
+      eta-omega    W = [[-xi^s, beta], [beta xi, 1]] with beta^2 = -1 in the
+                   half field, the canonical square root unless beta is given
+      theta-omega  W = Z^{-1}, Z = [[1, r], [-xi, -xi^s r]], r from theta_frame_scale
     """
     F = fac.poly.field
     K = ext_field(F, fac.poly.coeffs)
     xi = K.gen
     xis = xi ** g.s
-    if g.n % fac.root_order == 0:
+    way = route(g, fac)
+    if way == "sigma-tau":
         return "sigma-tau", ((K.one, -xi), (K.one, -xis))
-    if g.q % 4 == 1 or fac.degree % 4 == 0:
+    if way.startswith("eta-omega"):
         if beta is None:
             beta = sqrt_in_field(-K.one)
-        assert beta * beta == -K.one
-        assert beta ** (g.q ** (fac.degree // 2)) == beta, "sqrt(-1) missed the half field"
+        if beta * beta != -K.one:
+            raise AssertionError
+        if beta ** (g.q ** (fac.degree // 2)) != beta:
+            raise AssertionError("sqrt(-1) missed the half field")
         return "eta-omega", ((-xis, beta), (beta * xi, K.one))
     r = theta_frame_scale(g, fac, F)
     return "theta-omega", mat_inv(((K.one, r), (-xi, -xis * r)))

@@ -7,9 +7,9 @@ orthogonal non-central idempotents.  Every one of them is the factor
 idempotent e_f times an element P(x) + Q(x) y, built by _pair: (P, Q)
 comes from a closed form where one exists, and where it does not from
 the matrix unit E11 carried through the component's conjugation frame
-and lifted through e_f.  noncentral_pair picks the route from the
-factor's root alone (xi^n = 1 or not, then q mod 4 and the 2-parts),
-so one entry point serves both kinds of group.
+and lifted through e_f.  noncentral_pair takes the one that
+decompose.route names from the factor alone (xi^n = 1 or not, then q mod
+4, the 2-parts and deg f), so one entry point serves both kinds of group.
 
 Every constructed element is run through the table-based oracle before
 it is returned: idempotency, orthogonality, centrality or the lack of
@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .cyclotomic import classify
-from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul
-from .fields import ext_field, padic_valuation, sqrt_in_field
+from .decompose import ABELIAN_PART, PAIR, frame, mat_inv, mat_mul, route
+from .fields import ext_field, sqrt_in_field
 from .oracle import (algebra_for, check_pair, coefficient_stack, is_central,
                      is_idempotent, products, sums_to_one)
 from .polys import (NotInvertible, Poly, ext_gcd, formal_derivative,
@@ -199,25 +199,15 @@ def _pair(g, pos, P, Q):
     return e1, e2
 
 
-def by_interpolation(g, fac):
-    """Whether the non-central pair under this self-involutive factor is
-    built by interpolation rather than a closed form: the x^n + 1 side
-    with q = 3 mod 4 and the 2-part of n inside that of q + 1.  The one
-    route predicate; everywhere else interpolation is a cross-check."""
-    return (g.n % fac.root_order != 0 and g.q % 4 == 3
-            and padic_valuation(g.n, 2) <= padic_valuation(g.q + 1, 2))
-
-
 def noncentral_via_interpolation(g, position):
     """Split the 2x2 component at this factor position with the matrix
     unit E11, carried through the component's conjugation frame and lifted
     through e_f.
 
     Works for every self-involutive 2x2 component of either kind; this
-    is the construction of record where by_interpolation holds, and the
-    cross-check everywhere else.  The frame is decompose's, with one pin:
-    where the x^{n/2} closed form applies (x^n + 1 side, q = 3 mod 4, not
-    by interpolation) the eta frame's square root of -1 is xi^{n/2}
+    is the construction of record on the two routes by interpolation, and
+    the cross-check on the others.  The frame is decompose's, with one pin:
+    on the xi^{n/2} route the eta frame's square root of -1 is xi^{n/2}
     itself, the convention that closed form corresponds to.
 
     In the plain generator frame, x -> diag(xi, xi^s) and y -> [[0, xi^n],
@@ -232,9 +222,7 @@ def noncentral_via_interpolation(g, position):
     if fac.divides_x_d_minus_1 or not fac.self_involutive:
         raise PreconditionFactor("no 2x2 component at this position")
     K = ext_field(F, fac.poly.coeffs)
-    beta = None
-    if g.n % fac.root_order and g.q % 4 == 3 and not by_interpolation(g, fac):
-        beta = K.gen ** (g.n // 2)
+    beta = K.gen ** (g.n // 2) if route(g, fac) == "eta-omega, xi^{n/2}" else None
     _, W = frame(g, fac, beta)
     E11 = ((K.one, K.zero), (K.zero, K.zero))
     (m11, m12), (m21, m22) = mat_mul(mat_mul(W, E11), mat_inv(W))
@@ -274,15 +262,13 @@ def noncentral_pair(f, g, notes=None):
     """The non-central orthogonal pair under a self-involutive factor f of
     x^N - 1 away from x^d - 1, for either kind of group.
 
-    The route is read from the factor's root xi.  Where xi^n = 1 (every
-    split-kind factor, and the x^n - 1 side of the nonsplit kind) the pair
-    is e_f [l(x)(1 - y) + 1] and its complement.  On the x^n + 1 side,
-    where by_interpolation holds (q = 3 mod 4, 2-part of n inside q + 1),
-    the pair is built by interpolation and the printed closed form is only
-    reported on, via notes.  Otherwise e_f (l(x) + 1)(1 + B(x) y) applies,
-    with B the scalar with square -1 in F_q when q = 1 mod 4, and x^{n/2}
-    when q = 3 mod 4.  Every case is covered: a 2-part of n beyond q + 1
-    forces 4 | deg f, hence s = q^{deg/2} = 1 mod 4, which that form needs.
+    On the routes of decompose.route:
+
+      sigma-tau           e_f [l(x)(1 - y) + 1] and its complement
+      sqrt(-1) in F_q     e_f (l(x) + 1)(1 + B y), B the scalar with B^2 = -1
+      xi^{n/2}            e_f (l(x) + 1)(1 + x^{n/2} y), which needs s = 1 mod 4
+      by interpolation    noncentral_via_interpolation; the printed closed
+                          form is only reported on, via notes
     """
     F = algebra_for(g).field
     report = classify(F, g.N, g.s)
@@ -291,19 +277,21 @@ def noncentral_pair(f, g, notes=None):
     if fac.divides_x_d_minus_1 or not fac.self_involutive:
         raise PreconditionFactor(
             f"{f!r} does not carry a 2x2 component of its own")
-    if by_interpolation(g, fac):
+    way = route(g, fac)
+    if way.endswith("by interpolation"):
         e1, e2 = noncentral_via_interpolation(g, pos)
         if notes is not None:
             _case3_printed_check(g, report, pos, e1, e2, notes)
         return e1, e2
     ell = _ell(g, f)
     ell1 = ell + Poly.one(F)
-    if g.n % fac.root_order == 0:
+    if way == "sigma-tau":
         return _pair(g, pos, ell1, -ell)
-    if g.q % 4 == 1:
+    if way == "eta-omega, sqrt(-1) in F_q":
         B = Poly(F, (sqrt_in_field(-F.one),))
+    elif g.s % 4 != 1:
+        raise AssertionError("a 2-part of n beyond q + 1 forces s = 1 mod 4")
     else:
-        assert g.s % 4 == 1, "a 2-part of n beyond q + 1 forces s = 1 mod 4"
         B = _x_power(F, g.n // 2, g.N)
     return _pair(g, pos, ell1, mod_xn_minus_1(ell1 * B, g.N))
 

@@ -70,11 +70,11 @@ class GroupAlgebra:
     """The group algebra F_qG with its multiplication table.
 
     The table is validated on construction: identity row and column,
-    associativity checked exhaustively for |G| <= 32 or on seeded random
-    triples above that, and every row and column a permutation.
+    associativity proved from the generators x and y by Light's test, and
+    every row and column a permutation.
     """
 
-    def __init__(self, group, field, seed=0):
+    def __init__(self, group, field):
         if field.order != group.q:
             raise ValueError(f"field of size {field.order} vs group over q = {group.q}")
         self.group = group
@@ -99,15 +99,15 @@ class GroupAlgebra:
         idx = np.arange(n)
         if not ((table[0] == idx).all() and (table[:, 0] == idx).all()):
             raise AssertionError
-        if n <= 32:
-            left = table[table]                       # [a,b,c] = (ab)c
-            right = np.take(table, table, axis=1)     # [a,b,c] = a(bc)
-            associative = (left == right).all()
-        else:
-            rng = np.random.default_rng(seed)
-            a, b, c = rng.integers(0, n, size=(2000, 3)).T
-            associative = (table[table[a, b], c] == table[a, table[b, c]]).all()
-        if not associative:
+        # (ab)c = a(bc) for all a, b and c in {x, y} gives it for every c, by
+        # induction on a word for c (Light's test).  The walk g_i x =
+        # g_(i+1 mod N), g_i y = g_(N+i), i < N, writes every g as a word in
+        # x and y, so the induction reaches every c
+        N, x, y = group.N, element_index(group, 1, 0), element_index(group, 0, 1)
+        i = idx[:N]
+        words = (table[i, x] == (i + 1) % N).all() and (table[i, y] == N + i).all()
+        if not words or any((table[:, c][table] != table[:, table[:, c]]).any()
+                            for c in (x, y)):
             raise AssertionError("multiplication table not associative")
         # argsort inverts the rows and columns if they are permutations:
         # table[a, left[a, k]] = k and table[right[k, c], k] = c

@@ -9,13 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wedderburn
-from wedderburn import battery, cli, oracle
+from wedderburn import battery, cli
 from wedderburn.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, EXIT_PANIC
 from wedderburn.groups import SNotInvolutive
 from wedderburn.oracle import GroupMismatch
@@ -116,44 +115,13 @@ def test_verify_skip_noncentral(capsys):
     assert "noncentral-splittings: skipped" in out
 
 
-def test_verify_seed_flag_accepted(capsys):
-    code, out, _ = run_cli(
+def test_verify_seed_flag_is_gone(capsys):
+    # the oracle proves associativity from the generators; nothing is sampled
+    code, out, err = run_cli(
         capsys, "verify", "--q", "3", "--group", "split:n=4,s=3", "--seed", "7"
     )
-    assert code == EXIT_OK
-
-
-def test_verify_seed_reaches_the_graded_algebra(capsys, monkeypatch):
-    # |G| = 40 > 32, so the oracle samples associativity triples with a
-    # seeded rng; the component count must be graded on the seeded algebra
-    rng_seeds, algebra_seeds, graded = [], {}, []
-    real_rng, real_init, real_count = (
-        np.random.default_rng, oracle.GroupAlgebra.__init__, oracle.component_count)
-
-    def rng(seed=None):
-        rng_seeds.append(seed)
-        return real_rng(seed)
-
-    def init(self, group, field, seed=0):
-        real_init(self, group, field, seed=seed)
-        algebra_seeds[id(self)] = seed
-
-    def count(A):
-        graded.append(algebra_seeds.get(id(A)))
-        return real_count(A)
-
-    monkeypatch.setattr(np.random, "default_rng", rng)
-    monkeypatch.setattr(oracle.GroupAlgebra, "__init__", init)
-    monkeypatch.setattr(oracle, "component_count", count)
-    argv = ("verify", "--q", "3", "--group", "nonsplit:n=10,s=9", "--format", "json")
-    code, seeded, _ = run_cli(capsys, *argv, "--seed", "7")
-    assert code == EXIT_OK
-    assert json.loads(seeded)["order"] == 40
-    assert 7 in rng_seeds
-    assert graded == [7]
-    code, unseeded, _ = run_cli(capsys, *argv)
-    assert code == EXIT_OK
-    assert seeded == unseeded
+    assert code == EXIT_INVALID
+    assert out == "" and "--seed" in err
 
 
 def test_factor_over_a_large_prime(capsys):
@@ -213,7 +181,7 @@ def test_q_3_nonsplit_n127_theta_frame_answers_within_20_s(argv, digest):
     # the factor of degree 126 takes the theta frame, whose root theta over
     # F_(3^126) has an order known in advance.  Certifying it once factored
     # 3^126 - 1 by trial division: 40 s for decompose and 71 s for
-    # idempotents, which builds the frame twice, on one Xeon core.  The
+    # idempotents, which built the frame twice, on one Xeon core.  The
     # digests are of the bytes printed then.
     out = _stdout_within_20_s(*argv, "--q", "3", "--group", "nonsplit:n=127,s=253",
                               "--format", "json")

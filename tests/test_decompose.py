@@ -201,9 +201,10 @@ def test_theta_frame_scale_deterministic_and_normed():
     F = make_field(3, 1)
     rep = classify(F, 4, 3)
     fac = next(f for f in rep.factors if not f.divides_x_d_minus_1)
-    r1 = theta_frame_scale(Q8, fac, F)
-    r2 = theta_frame_scale(Q8, fac, F)
-    assert r1 == r2
+    # computed twice: the cached function would return one value twice
+    r1 = theta_frame_scale.__wrapped__(Q8, fac, F)
+    r2 = theta_frame_scale.__wrapped__(Q8, fac, F)
+    assert r1 == r2 and theta_frame_scale(Q8, fac, F) == r1
     # r times its conjugate under the half-degree Frobenius is -1
     half = 3 ** (fac.degree // 2)
     K = r1.field

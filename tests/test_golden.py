@@ -24,10 +24,9 @@ import pytest
 
 from perfbench.checks import check_idempotents
 from wedderburn import cli
-from wedderburn.decompose import SELF_INVOLUTIVE, decompose
+from wedderburn.decompose import SELF_INVOLUTIVE, decompose, route
 from wedderburn.fields import ExtField
 from wedderburn.groups import make_group, parse_group
-from wedderburn.idempotents import by_interpolation
 
 INSTANCES = (
     (3, "split:n=1,s=1"),
@@ -376,14 +375,6 @@ def test_battery_json_digest(battery_result):
     assert _sha256(text) == BATTERY_DIGEST
 
 
-def _route(g, fac, frame):
-    if by_interpolation(g, fac):
-        return f"{frame} by interpolation"
-    if frame == "eta-omega":
-        return "eta-omega, sqrt(-1) in F_q" if g.q % 4 == 1 else "eta-omega, xi^{n/2}"
-    return frame
-
-
 def test_corpus_reaches_every_route():
     """Every route to a 2x2 self-involutive component's non-central pair has
     a digest, so a corpus edit cannot drop one silently."""
@@ -393,7 +384,8 @@ def test_corpus_reaches_every_route():
         dec = decompose(g)
         for comp in dec.components:
             if comp.source.kind == SELF_INVOLUTIVE:
-                fac = dec.report.factors[comp.source.position]
-                routes.add(_route(g, fac, comp.source.frame))
+                way = route(g, dec.report.factors[comp.source.position])
+                assert way.startswith(comp.source.frame), (q, grp, way)
+                routes.add(way)
     assert routes == {"sigma-tau", "eta-omega, sqrt(-1) in F_q", "eta-omega, xi^{n/2}",
                       "eta-omega by interpolation", "theta-omega by interpolation"}

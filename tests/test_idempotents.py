@@ -3,6 +3,7 @@ orthogonal splittings, checked against the brute-force algebra.
 """
 
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from test_golden import INSTANCES
 
 from wedderburn import idempotents
 from wedderburn.cyclotomic import classify, cyclotomic_cosets, factor_xn_minus_1
-from wedderburn.decompose import decompose, frame, mat_inv, mat_mul
+from wedderburn.decompose import decompose, frame, mat_inv, mat_mul, route
 from wedderburn.fields import ext_field, make_field, padic_valuation, split_prime_power
 from wedderburn.groups import NONSPLIT, SPLIT, make_group, parse_group
 from wedderburn.idempotents import (
@@ -18,7 +19,6 @@ from wedderburn.idempotents import (
     NONCENTRAL,
     NotIrreducibleFactor,
     PreconditionFactor,
-    by_interpolation,
     central_idempotents,
     complete_idempotent_set,
     cyclic_idempotent,
@@ -158,20 +158,18 @@ def test_noncentral_split_matches_interpolation():
     assert noncentral_via_interpolation(D8, 2) == (e1, e2)
 
 
-def _matrix_unit(g, fac):
-    """W E11 W^{-1} over K = F_q[x]/(f) in the plain generator frame, with
-    the frame pinned as noncentral_via_interpolation pins it."""
-    K = ext_field(fac.poly.field, fac.poly.coeffs)
-    beta = None
-    if g.n % fac.root_order and g.q % 4 == 3 and not by_interpolation(g, fac):
-        beta = K.gen ** (g.n // 2)
-    _, W = frame(g, fac, beta)
-    return mat_mul(mat_mul(W, ((K.one, K.zero), (K.zero, K.zero))), mat_inv(W))
-
-
-def test_interpolated_pair_has_the_matrix_unit_residues():
+def test_interpolated_pair_has_the_matrix_unit_residues(monkeypatch):
     # e1 = P + Q y must reduce to (m11, xi^n m12) mod its own factor f and to
-    # zero mod every other factor of x^N - 1: the CRT prescription it solves
+    # zero mod every other factor of x^N - 1, where M = W E11 W^{-1} over
+    # K = F_q[x]/(f) in the frame W that the construction used
+    frames = []
+
+    def recorded_frame(g, fac, beta=None):
+        tag, W = frame(g, fac, beta)
+        frames.append(W)
+        return tag, W
+
+    monkeypatch.setattr(idempotents, "frame", recorded_frame)
     checked = set()
     for q, grp in INSTANCES:
         g = make_group(*parse_group(grp), q)
@@ -180,9 +178,11 @@ def test_interpolated_pair_has_the_matrix_unit_residues():
         for pos, fac in enumerate(rep.factors):
             if fac.divides_x_d_minus_1 or not fac.self_involutive:
                 continue
-            (m11, m12), _ = _matrix_unit(g, fac)
-            q_val = -m12 if g.n % fac.root_order else m12
             P, Q = noncentral_via_interpolation(g, pos)[0].to_polys()
+            K, W = ext_field(F, fac.poly.coeffs), frames.pop()
+            (m11, m12), _ = mat_mul(mat_mul(W, ((K.one, K.zero), (K.zero, K.zero))),
+                                    mat_inv(W))
+            q_val = -m12 if g.n % fac.root_order else m12
             for other, h in enumerate(rep.factors):
                 want = ((Poly.from_reps(F, m11.rep), Poly.from_reps(F, q_val.rep))
                         if other == pos else (Poly.zero(F), Poly.zero(F)))
@@ -302,27 +302,36 @@ def test_missing_case_is_vacuous_in_battery_range(battery_keys):
                 hits += 1
                 assert g.s % 4 == 1, (kind, n, s, q)
     assert hits > 0
-    # the same on integers alone, well past the battery: the root zeta^a
-    # of a coset C mod N = 2n lies on the x^n + 1 side iff a is odd, away
-    # from x^d - 1 iff a*s != a mod N, and is self-involutive iff s*C = C
-    groups = factors = 0
+    # the same on integers alone, well past the battery, through route: the
+    # root zeta^a of a coset C mod N = 2n has order N / gcd(a, N) and degree
+    # |C|, is away from x^d - 1 iff a*s != a mod N, and is self-involutive
+    # iff s*C = C.  The xi^{n/2} route forces 4 | deg f and s = 1 mod 4, as
+    # noncentral_pair asserts; the theta route forces v2(n) <= v2(q + 1), the
+    # depth theta_frame_scale asserts
+    seen = set()
     for q in (3, 7, 11, 19, 23, 27, 31, 43, 47, 59):
         for n in range(1, 129):
             N = 2 * n
-            if gcd(q, N) != 1 or padic_valuation(n, 2) <= padic_valuation(q + 1, 2):
+            if gcd(q, N) != 1:
                 continue
             cosets = cyclotomic_cosets(N, q)
             for s in range(1, N):
                 if s * s % N != 1 or gcd(s, N) != 1:
                     continue
-                groups += 1
                 for C in cosets:
                     a = C[0]
-                    if a % 2 == 0 or a * s % N == a or sorted(b * s % N for b in C) != list(C):
+                    if a * s % N == a or sorted(b * s % N for b in C) != list(C):
                         continue
-                    factors += 1
-                    assert len(C) % 4 == 0 and s % 4 == 1, (q, n, s, C)
-    assert groups > 0 and factors > 0
+                    g = SimpleNamespace(n=n, q=q)
+                    fac = SimpleNamespace(root_order=N // gcd(a, N), degree=len(C))
+                    way = route(g, fac)
+                    seen.add(way)
+                    if way == "eta-omega, xi^{n/2}":
+                        assert len(C) % 4 == 0 and s % 4 == 1, (q, n, s, C)
+                    elif way.startswith("theta-omega"):
+                        assert padic_valuation(n, 2) <= padic_valuation(q + 1, 2), (q, n, C)
+    assert seen == {"sigma-tau", "eta-omega, xi^{n/2}", "eta-omega by interpolation",
+                    "theta-omega by interpolation"}
 
 
 def test_complete_set_d8():

@@ -6,6 +6,7 @@ between independent code paths.
 """
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -50,8 +51,8 @@ def test_algebra_interning():
 
 
 def test_basis_multiplication_matches_group_law():
-    # split and nonsplit, and |G| = 34 and 36 beyond the exhaustive
-    # associativity check; group_mult is the reference for the table
+    # split and nonsplit, |G| from 8 to 36; group_mult is the reference for
+    # the table
     for g in (D8, Q8, make_group(SPLIT, 5, 4, 3), make_group(NONSPLIT, 6, 5, 5),
               make_group(NONSPLIT, 5, 9, 3), make_group(SPLIT, 17, 16, 3),
               make_group(NONSPLIT, 9, 17, 5)):
@@ -133,15 +134,6 @@ def test_center_basis_is_central_and_spans():
             assert is_central(z)
 
 
-def test_seeded_associativity_spot_checks():
-    # groups above the exhaustive-check size use seeded random triples;
-    # different seeds must accept the same (associative) table
-    g = make_group(SPLIT, 17, 16, 3)
-    A1 = GroupAlgebra(g, make_field(3, 1), seed=1)
-    A2 = GroupAlgebra(g, make_field(3, 1), seed=99)
-    assert A1.size == A2.size == 34
-
-
 def test_associativity_check_rejects_a_broken_table(monkeypatch):
     # x^i y^j * x^k y^l -> x^(i-k) y^(j+l) away from the identity: identity
     # row and column intact, associativity broken on most triples
@@ -156,13 +148,73 @@ def test_associativity_check_rejects_a_broken_table(monkeypatch):
                          for a in elems], dtype=np.intp)
 
     monkeypatch.setattr(oracle, "multiplication_table", broken)
-    for g in (D8, make_group(SPLIT, 17, 16, 3)):  # exhaustive, then seeded
+    for g in (D8, make_group(SPLIT, 17, 16, 3)):
         with pytest.raises(AssertionError, match="not associative"):
             GroupAlgebra(g, make_field(3, 1))
 
 
+def _associative(table):
+    """(ab)c = a(bc) on every triple, one lookup at a time."""
+    n = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in n for b in n for c in n)
+
+
+def _swap(table, r1, r2, c1, c2):
+    """The table with the intercalate at rows r1, r2 and columns c1, c2 swapped:
+    still a Latin square, and with the identity too when 0 is none of them."""
+    out = np.array(table, dtype=np.intp)
+    out[r1, c1], out[r1, c2] = out[r1, c2], out[r1, c1]
+    out[r2, c1], out[r2, c2] = out[r2, c2], out[r2, c1]
+    return out
+
+
+def _rejected(monkeypatch, g, table):
+    monkeypatch.setattr(oracle, "multiplication_table", lambda group: table)
+    with pytest.raises(AssertionError, match="not associative"):
+        GroupAlgebra(g, make_field(g.q, 1))
+
+
+def test_associativity_proof_rejects_a_one_swap_table_of_order_96(monkeypatch):
+    # the intercalate x^10, x^34 at rows x, x^25 and columns x^9, x^33; the
+    # walk along x and y does not see it, so the proof from x and y must
+    g = make_group(NONSPLIT, 24, 1, 5)
+    table = oracle.multiplication_table(g)
+    assert table[1, 9] == table[25, 33] == 10 and table[1, 33] == table[25, 9] == 34
+    _rejected(monkeypatch, g, _swap(table, 1, 25, 9, 33))
+
+
+def test_associativity_proof_rejects_a_loop_that_fails_at_y_only(monkeypatch):
+    # D8's law with y^2 = x: a Latin square with an identity that the walk
+    # accepts, and (ab)x = a(bx) on every a, b, since s^2 = 1, while
+    # (yy)y = x y != y x = y (yy), since x^s = x^3; only c = y refuses it
+    table = oracle.multiplication_table(replace(D8, n=1))
+    x = table[:, 1]
+    assert (x[table] == table[:, x]).all() and not _associative(table.tolist())
+    _rejected(monkeypatch, D8, table)
+
+
+def test_associativity_proof_rejects_every_intercalate_swap(monkeypatch):
+    # every swapped intercalate away from the identity's row and column: a
+    # Latin square with an identity, and not associative by the exhaustive
+    # check here, so the oracle must refuse each one
+    swaps, real_table = 0, oracle.multiplication_table
+    for g in (D8, Q8, make_group(SPLIT, 5, 4, 3), make_group(NONSPLIT, 3, 5, 5),
+              make_group(SPLIT, 8, 3, 3)):
+        table = real_table(g).tolist()
+        assert _associative(table)
+        n = range(1, len(table))
+        for r1, r2, c1, c2 in ((r1, r2, c1, c2) for r1 in n for r2 in n if r1 < r2
+                               for c1 in n for c2 in n if c1 < c2):
+            if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]:
+                swapped = _swap(table, r1, r2, c1, c2)
+                assert not _associative(swapped.tolist())
+                _rejected(monkeypatch, g, swapped)
+                swaps += 1
+    assert swaps == 404
+
+
 # groups over F_5, F_7, F_9 and F_25, split and nonsplit; nonsplit:n=5,s=1 is
-# abelian, split:n=17,s=16 takes the seeded associativity path
+# abelian
 PRODUCT_GROUPS = [
     make_group(SPLIT, 6, 5, 5), make_group(NONSPLIT, 3, 5, 5),
     make_group(SPLIT, 17, 16, 5),
